@@ -26,8 +26,8 @@ from .errors import (
 )
 from .models import EfficiencyRecord, SolverConfig
 
-#: Scores closer than this share a rank. Half of the last displayed decimal
-#: at the default 4-decimal rendering, so ranks agree with the printed table.
+#: Scores closer than this share a rank: half a unit in the table's last
+#: decimal (dataset_io.SCORE_DECIMALS), so ranks agree with the printed table.
 DEFAULT_RANK_TIE_TOL = 5e-5
 
 

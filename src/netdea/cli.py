@@ -14,10 +14,11 @@ rank
 validate
     Parse and validate the dataset, print its dimensions, solve nothing.
 
-Exit codes: 0 success, 2 usage errors, 3 dataset errors (parse,
-validation, schema, unreadable file), 4 solver failures. Diagnostics go to
-stderr, reports to stdout or the ``--out`` file. ``NETDEA_EPSILON`` in the
-environment overrides the default of ``--epsilon``; the flag wins.
+Exit codes: 0 success, 2 usage errors (including an ``--out`` file that
+cannot be written), 3 dataset errors (parse, validation, schema,
+unreadable file), 4 solver failures. Diagnostics go to stderr, reports to
+stdout or the ``--out`` file. ``NETDEA_EPSILON`` in the environment
+overrides the default of ``--epsilon``; the flag wins.
 """
 
 from __future__ import annotations
@@ -105,6 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="relational and CCR tables plus rank correlation"
     )
     _add_common_flags(compare, with_model=False)
+    compare.set_defaults(model="both")
 
     rank = sub.add_parser("rank", help="print rank columns only")
     _add_common_flags(rank, with_model=True)
@@ -119,31 +121,13 @@ def _plural(count: int, noun: str) -> str:
     return f"{count} {noun}" + ("" if count == 1 else "s")
 
 
-def _emit(text: str, output_path):
-    if output_path:
-        with open(output_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _config_from(args) -> SolverConfig:
-    return SolverConfig(
-        epsilon=args.epsilon,
-        stage_priority=_PRIORITY_BY_FLAG[args.stage_priority],
-    )
-
-
-def _report_for(args):
-    data = load_dataset(args.data)
-    cfg = _config_from(args)
-    relational, ccr = run_full_analysis(data, cfg)
-    return build_report(relational, ccr, cfg)
-
-
 def _run(args) -> int:
-    if args.subcommand == "validate":
+    try:
         data = load_dataset(args.data)
+    except OSError as exc:
+        print(f"netdea: cannot read data file: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    if args.subcommand == "validate":
         line = ", ".join([
             _plural(data.n, "DMU"),
             _plural(data.m, "input"),
@@ -153,18 +137,24 @@ def _run(args) -> int:
         sys.stdout.write(line + "\n")
         return EXIT_OK
 
-    report = _report_for(args)
-    if args.subcommand == "solve":
-        text = render_report(report, args.output_format,
-                             sections=_SECTIONS_BY_MODEL[args.model],
-                             include_rho=False)
-    elif args.subcommand == "compare":
-        text = render_report(report, args.output_format, include_rho=True)
-    else:  # rank
-        text = render_report(report, args.output_format,
-                             sections=_SECTIONS_BY_MODEL[args.model],
-                             include_rho=False, ranks_only=True)
-    _emit(text, args.output_path)
+    cfg = SolverConfig(epsilon=args.epsilon,
+                       stage_priority=_PRIORITY_BY_FLAG[args.stage_priority])
+    relational, ccr = run_full_analysis(data, cfg)
+    report = build_report(relational, ccr, cfg)
+    text = render_report(report, args.output_format,
+                         sections=_SECTIONS_BY_MODEL[args.model],
+                         include_rho=args.subcommand == "compare",
+                         ranks_only=args.subcommand == "rank")
+    if not args.output_path:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        with open(args.output_path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"netdea: cannot write report to {args.output_path}: {exc}",
+              file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 
@@ -190,9 +180,6 @@ def main(argv=None) -> int:
         return _run(args)
     except DatasetFormatError as exc:
         print(f"netdea: {_describe(exc)}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"netdea: cannot read data file: {exc}", file=sys.stderr)
         return EXIT_DATA
     except _SOLVER_ERRORS as exc:
         print(f"netdea: {_describe(exc)}", file=sys.stderr)

@@ -22,6 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .analysis import AnalysisReport, RankTable
 from .errors import ParseError, SchemaError, ValidationError
@@ -110,15 +111,11 @@ def _check_specs(specs, width: int):
         raise SchemaError(
             f"need at most one name column, found {len(by_role[ColumnRole.NAME])}"
         )
-    for role in _MATRIX_ROLES:
+    for prefix, role in _ROLE_BY_PREFIX.items():
         if not by_role[role]:
             raise SchemaError(f"no {role.value} column (header prefix "
-                              f"{_ROLE_PREFIX_OF[role]!r}) in the dataset")
+                              f"{prefix!r}) in the dataset")
     return by_role
-
-
-_ROLE_PREFIX_OF = {ColumnRole.INPUT: "x", ColumnRole.INTERMEDIATE: "z",
-                   ColumnRole.OUTPUT: "y"}
 
 
 def _parse_cell(raw: str, line: int, spec: ColumnSpec) -> float:
@@ -197,8 +194,9 @@ def parse_dataset(text: str, column_specs=None) -> Dataset:
 
 
 def load_dataset(path, column_specs=None) -> Dataset:
-    """Read a dataset file (UTF-8) and parse it."""
-    with open(path, encoding="utf-8") as handle:
+    """Read a dataset file (UTF-8, with or without a byte-order mark) and
+    parse it."""
+    with open(path, encoding="utf-8-sig") as handle:
         return parse_dataset(handle.read(), column_specs)
 
 
@@ -240,15 +238,33 @@ def render_dataset(data: Dataset) -> str:
     return out.getvalue()
 
 
-def _display_score(value: float, decimals: int) -> str:
-    rounded = round(float(value), decimals)
+#: Decimals of the scores in the table format. DEFAULT_RANK_TIE_TOL (5e-5)
+#: is half a unit in this last place, so ranks agree with the printed
+#: table; change the two together.
+SCORE_DECIMALS = 4
+
+_SECTIONS = ("relational", "ccr")
+
+#: Placeholder rho for reports that print no rho line at all.
+_NO_RHO = object()
+
+
+class _Column(NamedTuple):
+    """One ranked score column of a report and its name in each format;
+    csv_keys and json_keys are (score key, rank key)."""
+
+    section: str
+    title: str
+    csv_keys: tuple
+    json_keys: tuple
+    table: RankTable
+
+
+def _display_score(value: float) -> str:
+    rounded = round(float(value), SCORE_DECIMALS)
     if rounded == round(rounded):
         return str(int(round(rounded)))
-    return f"{rounded:.{decimals}f}"
-
-
-def _score_with_rank(value: float, rank: int, decimals: int) -> str:
-    return f"{_display_score(value, decimals)}({rank})"
+    return f"{rounded:.{SCORE_DECIMALS}f}"
 
 
 def _normalize_format(fmt) -> ReportFormat:
@@ -264,91 +280,78 @@ def _normalize_format(fmt) -> ReportFormat:
 
 
 def _normalize_sections(sections) -> tuple:
-    allowed = ("relational", "ccr")
-    picked = tuple(s for s in allowed if s in tuple(sections))
+    picked = tuple(s for s in _SECTIONS if s in tuple(sections))
     if not picked:
-        raise ValueError(f"sections must include at least one of {allowed}")
-    unknown = set(sections) - set(allowed)
+        raise ValueError(f"sections must include at least one of {_SECTIONS}")
+    unknown = set(sections) - set(_SECTIONS)
     if unknown:
         raise ValueError(f"unknown report sections: {sorted(unknown)}")
     return picked
 
 
-def _render_table(report, sections, include_rho, ranks_only, decimals) -> str:
+def _report_columns(report: AnalysisReport, sections) -> list:
     rel = report.relational_table
-    columns = [("DMU", list(rel.dmu_ids))]
-
-    def add(title: str, table: RankTable):
-        if ranks_only:
-            columns.append((f"{title} rank", [str(r) for r in table.ranks]))
-        else:
-            columns.append((title, [
-                _score_with_rank(s, r, decimals)
-                for s, r in zip(table.scores, table.ranks)
-            ]))
-
+    columns = []
     if "relational" in sections:
-        add("Overall", rel.overall)
-        add("Stage 1", rel.stage1)
-        add("Stage 2", rel.stage2)
+        for title, key, table in (("Overall", "overall", rel.overall),
+                                  ("Stage 1", "stage1", rel.stage1),
+                                  ("Stage 2", "stage2", rel.stage2)):
+            keys = (key, f"rank_{key}")
+            columns.append(_Column("relational", title, keys, keys, table))
     if "ccr" in sections:
-        add("CCR", report.ccr_table)
+        csv_keys = ("ccr_score", "ccr_rank") if len(sections) > 1 else ("score", "rank")
+        columns.append(_Column("ccr", "CCR", csv_keys, ("score", "rank"),
+                               report.ccr_table))
+    return columns
 
-    widths = [max(len(title), *(len(cell) for cell in cells))
-              for title, cells in columns]
-    lines = []
-    header = "  ".join(
-        (title.ljust(w) if i == 0 else title.rjust(w))
-        for i, ((title, _), w) in enumerate(zip(columns, widths))
-    )
-    lines.append(header.rstrip())
-    lines.append("-" * len(header))
-    for row in range(len(rel.dmu_ids)):
-        cells = []
-        for i, ((_, body), w) in enumerate(zip(columns, widths)):
-            cells.append(body[row].ljust(w) if i == 0 else body[row].rjust(w))
-        lines.append("  ".join(cells).rstrip())
-    if include_rho and set(sections) == {"relational", "ccr"}:
-        rho = report.spearman_rho
+
+def _fields(columns, ranks_only: bool, json_keys: bool) -> dict:
+    # Section -> [(key, values)]: csv and json list each section's score
+    # fields before its rank fields.
+    fields = {}
+    for column in columns:
+        score_key, rank_key = column.json_keys if json_keys else column.csv_keys
+        scores, ranks = fields.setdefault(column.section, ([], []))
+        if not ranks_only:
+            scores.append((score_key, column.table.scores.tolist()))
+        ranks.append((rank_key, column.table.ranks.tolist()))
+    return {section: scores + ranks for section, (scores, ranks) in fields.items()}
+
+
+def _render_table(columns, rho, ranks_only: bool) -> str:
+    body = [("DMU", columns[0].table.dmu_ids)]
+    for column in columns:
+        table = column.table
+        if ranks_only:
+            body.append((f"{column.title} rank", [str(r) for r in table.ranks]))
+        else:
+            body.append((column.title, [f"{_display_score(s)}({r})"
+                                        for s, r in zip(table.scores, table.ranks)]))
+
+    grid = [[title for title, _ in body], *zip(*(cells for _, cells in body))]
+    widths = [max(len(cell) for cell in column) for column in zip(*grid)]
+    lines = ["  ".join(cell.ljust(w) if i == 0 else cell.rjust(w)
+                       for i, (cell, w) in enumerate(zip(row, widths))).rstrip()
+             for row in grid]
+    lines.insert(1, "-" * len(lines[0]))
+    if rho is not _NO_RHO:
         shown = "not defined (tied ranks)" if rho is None else f"{rho:.5f}"
         lines.append("")
         lines.append(f"Spearman rank correlation (overall vs CCR): rho = {shown}")
     return "\n".join(lines) + "\n"
 
 
-def _render_csv(report, sections, include_rho, ranks_only) -> str:
-    rel = report.relational_table
+def _render_csv(columns, rho, ranks_only: bool) -> str:
+    by_section = _fields(columns, ranks_only, json_keys=False)
+    fields = [field for section in by_section.values() for field in section]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    header = ["id"]
-    both = set(sections) == {"relational", "ccr"}
-    ccr_score_label = "ccr_score" if both else "score"
-    ccr_rank_label = "ccr_rank" if both else "rank"
-    if "relational" in sections:
-        if not ranks_only:
-            header += ["overall", "stage1", "stage2"]
-        header += ["rank_overall", "rank_stage1", "rank_stage2"]
-    if "ccr" in sections:
-        if not ranks_only:
-            header.append(ccr_score_label)
-        header.append(ccr_rank_label)
-    writer.writerow(header)
-    for row, dmu_id in enumerate(rel.dmu_ids):
-        record = [dmu_id]
-        if "relational" in sections:
-            if not ranks_only:
-                record += [_format_number(t.scores[row])
-                           for t in (rel.overall, rel.stage1, rel.stage2)]
-            record += [int(t.ranks[row])
-                       for t in (rel.overall, rel.stage1, rel.stage2)]
-        if "ccr" in sections:
-            if not ranks_only:
-                record.append(_format_number(report.ccr_table.scores[row]))
-            record.append(int(report.ccr_table.ranks[row]))
-        writer.writerow(record)
-    if include_rho and both and not ranks_only:
-        rho = report.spearman_rho
-        writer.writerow(["spearman_rho", "" if rho is None else _format_number(rho)])
+    writer.writerow(["id"] + [key for key, _ in fields])
+    # csv writes floats with repr, so scores keep full precision.
+    for row, dmu_id in enumerate(columns[0].table.dmu_ids):
+        writer.writerow([dmu_id] + [values[row] for _, values in fields])
+    if rho is not _NO_RHO:
+        writer.writerow(["spearman_rho", "" if rho is None else rho])
     return out.getvalue()
 
 
@@ -357,7 +360,7 @@ def _config_payload(cfg: SolverConfig) -> dict:
         "epsilon": cfg.epsilon,
         "normalize_columns": cfg.normalize_columns,
         "stage_priority": cfg.stage_priority.value,
-        "score_decimals": cfg.score_decimals,
+        "score_decimals": SCORE_DECIMALS,
         "tolerances": {
             "feasibility_tol": cfg.tolerances.feasibility_tol,
             "pivot_tol": cfg.tolerances.pivot_tol,
@@ -367,37 +370,16 @@ def _config_payload(cfg: SolverConfig) -> dict:
     }
 
 
-def _render_json(report, sections, include_rho, ranks_only) -> str:
-    rel = report.relational_table
-    payload = {"config": _config_payload(report.config_echo)}
-    if "relational" in sections:
-        records = []
-        for row, dmu_id in enumerate(rel.dmu_ids):
-            record = {"id": dmu_id}
-            if not ranks_only:
-                record.update(
-                    overall=float(rel.overall.scores[row]),
-                    stage1=float(rel.stage1.scores[row]),
-                    stage2=float(rel.stage2.scores[row]),
-                )
-            record.update(
-                rank_overall=int(rel.overall.ranks[row]),
-                rank_stage1=int(rel.stage1.ranks[row]),
-                rank_stage2=int(rel.stage2.ranks[row]),
-            )
-            records.append(record)
-        payload["relational"] = records
-    if "ccr" in sections:
-        records = []
-        for row, dmu_id in enumerate(report.ccr_table.dmu_ids):
-            record = {"id": dmu_id}
-            if not ranks_only:
-                record["score"] = float(report.ccr_table.scores[row])
-            record["rank"] = int(report.ccr_table.ranks[row])
-            records.append(record)
-        payload["ccr"] = records
-    if include_rho and set(sections) == {"relational", "ccr"}:
-        payload["spearman_rho"] = report.spearman_rho
+def _render_json(columns, rho, ranks_only: bool, cfg: SolverConfig) -> str:
+    payload = {"config": _config_payload(cfg)}
+    ids = columns[0].table.dmu_ids
+    for section, fields in _fields(columns, ranks_only, json_keys=True).items():
+        payload[section] = [
+            {"id": dmu_id, **{key: values[row] for key, values in fields}}
+            for row, dmu_id in enumerate(ids)
+        ]
+    if rho is not _NO_RHO:
+        payload["spearman_rho"] = rho
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -406,19 +388,20 @@ def render_report(report: AnalysisReport, fmt=ReportFormat.TABLE,
                   ranks_only: bool = False) -> str:
     """Serialize an AnalysisReport.
 
-    fmt picks the output shape: ``table`` rounds scores to the config's
-    score_decimals and appends the rank in parentheses; ``csv`` and
-    ``json`` carry full-precision scores and integer rank fields, json
-    additionally embedding the solver config and rho. sections restricts
-    output to the relational or CCR side; rho is emitted only when both
+    fmt picks the output shape: ``table`` rounds scores to SCORE_DECIMALS
+    and appends the rank in parentheses; ``csv`` and ``json`` carry
+    full-precision scores and integer rank fields, json additionally
+    embedding the solver config. sections restricts output to the
+    relational or CCR side; rho is emitted, in every format, only when both
     are present and include_rho is set. ranks_only drops score values,
     keeping the rank columns.
     """
     fmt = _normalize_format(fmt)
     sections = _normalize_sections(sections)
-    decimals = report.config_echo.score_decimals
+    columns = _report_columns(report, sections)
+    rho = report.spearman_rho if include_rho and len(sections) > 1 else _NO_RHO
     if fmt is ReportFormat.TABLE:
-        return _render_table(report, sections, include_rho, ranks_only, decimals)
+        return _render_table(columns, rho, ranks_only)
     if fmt is ReportFormat.CSV:
-        return _render_csv(report, sections, include_rho, ranks_only)
-    return _render_json(report, sections, include_rho, ranks_only)
+        return _render_csv(columns, rho, ranks_only)
+    return _render_json(columns, rho, ranks_only, report.config_echo)

@@ -9,8 +9,9 @@ Solves maximization problems of the form
 The engine is self-contained: no external solver is involved. Bland's
 pivoting rule is used throughout, which guarantees termination on the
 degenerate programs that multiplier-form DEA produces. All storage is
-dense; the programs built by this package stay in the tens of rows and
-columns, so sparsity machinery would be pure overhead.
+dense. The programs built by this package have one column per multiplier
+weight, usually a handful, and one row per ratio constraint: a relational
+LP over n DMUs has up to 3n + 2 rows, 302 at n = 100.
 """
 
 from __future__ import annotations
@@ -206,16 +207,10 @@ def _iterate(T: np.ndarray, basis: np.ndarray, tol: ToleranceSettings,
 
 def _max_violation(lp: LinearProgram, x: np.ndarray) -> float:
     residual = lp.constraint_matrix @ x - lp.rhs
-    worst = 0.0
-    for i, sense in enumerate(lp.constraint_senses):
-        if sense == LESS_EQUAL:
-            v = residual[i]
-        elif sense == GREATER_EQUAL:
-            v = -residual[i]
-        else:
-            v = abs(residual[i])
-        if v > worst:
-            worst = float(v)
+    senses = np.array(lp.constraint_senses)
+    violation = np.where(senses == GREATER_EQUAL, -residual, residual)
+    violation = np.where(senses == EQUAL, np.abs(residual), violation)
+    worst = float(np.max(violation, initial=0.0))
     bound_gap = float(np.max(lp.variable_lower_bounds - x, initial=0.0))
     return max(worst, bound_gap)
 

@@ -138,21 +138,6 @@ class Dataset:
     def s(self) -> int:
         return self.Y.shape[1]
 
-    def index_of(self, dmu_id: str) -> int:
-        try:
-            return self.dmu_ids.index(dmu_id)
-        except ValueError:
-            raise KeyError(f"unknown DMU id {dmu_id!r}") from None
-
-    def matrix(self, role: str) -> np.ndarray:
-        if role == "x":
-            return self.X
-        if role == "z":
-            return self.Z
-        if role == "y":
-            return self.Y
-        raise ValueError(f"unknown matrix role {role!r}")
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -161,20 +146,17 @@ class SolverConfig:
     epsilon is the strictly positive lower bound applied to every multiplier
     in the (normalized) LPs. stage_priority picks which stage efficiency is
     maximized when decomposing the relational optimum; the default maximizes
-    stage 2 first. score_decimals only affects table rendering.
+    stage 2 first.
     """
 
     epsilon: float = 1e-6
     normalize_columns: bool = True
     stage_priority: StagePriority = StagePriority.SECOND_STAGE
     tolerances: ToleranceSettings = ToleranceSettings()
-    score_decimals: int = 4
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise ConfigurationError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.score_decimals < 0:
-            raise ConfigurationError("score_decimals must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,9 +238,10 @@ def _solve_or_raise(lp: LinearProgram, cfg: SolverConfig, context: str,
     if solution.status is SolveStatus.INFEASIBLE:
         if infeasible_exc is not None:
             raise infeasible_exc
+        data_kind = "normalized data" if cfg.normalize_columns else "data"
         raise ConfigurationError(
             f"{context}: LP infeasible; epsilon={cfg.epsilon} is too large "
-            f"for the (normalized) data"
+            f"for the {data_kind}"
         )
     raise SolverFailureError(f"{context}: solver returned {solution.status.value}")
 
@@ -269,43 +252,33 @@ def _clamp_score(value: float, context: str) -> float:
     return min(float(value), 1.0)
 
 
+def _multiplier_lp(objective: np.ndarray, equalities, ratio_rows: np.ndarray,
+                   epsilon: float) -> LinearProgram:
+    """max objective . t  s.t.  row . t = rhs for each (row, rhs) in
+    equalities, then ratio_rows @ t <= 0, and t >= epsilon."""
+    eq_rows, eq_rhs = zip(*equalities)
+    return LinearProgram(
+        objective=objective,
+        constraint_matrix=np.vstack([np.array(eq_rows), ratio_rows]),
+        constraint_senses=(EQUAL,) * len(eq_rows) + (LESS_EQUAL,) * len(ratio_rows),
+        rhs=np.concatenate([eq_rhs, np.zeros(len(ratio_rows))]),
+        variable_lower_bounds=np.full(objective.shape[0], epsilon),
+    )
+
+
 def _ccr_lp(inputs: np.ndarray, outputs: np.ndarray, k: int, epsilon: float) -> LinearProgram:
     # Variables [a (input weights) | b (output weights)]:
     #   max  outputs[k] . b
     #   s.t. inputs[k] . a = 1
     #        outputs[j] . b - inputs[j] . a <= 0   for every j
     #        a, b >= epsilon
-    n, m = inputs.shape
-    s = outputs.shape[1]
-    objective = np.concatenate([np.zeros(m), outputs[k]])
-    rows = [np.concatenate([inputs[k], np.zeros(s)])]
-    senses = [EQUAL]
-    rhs = [1.0]
-    for j in range(n):
-        rows.append(np.concatenate([-inputs[j], outputs[j]]))
-        senses.append(LESS_EQUAL)
-        rhs.append(0.0)
-    return LinearProgram(
-        objective=objective,
-        constraint_matrix=np.array(rows),
-        constraint_senses=tuple(senses),
-        rhs=np.array(rhs),
-        variable_lower_bounds=np.full(m + s, epsilon),
+    m, s = inputs.shape[1], outputs.shape[1]
+    return _multiplier_lp(
+        np.concatenate([np.zeros(m), outputs[k]]),
+        [(np.concatenate([inputs[k], np.zeros(s)]), 1.0)],
+        np.hstack([-inputs, outputs]),
+        epsilon,
     )
-
-
-def _relational_rows(X, Z, Y):
-    # The three shared constraint families, for every DMU j:
-    #   y_j . v - x_j . u <= 0   (whole process)
-    #   z_j . w - x_j . u <= 0   (first stage)
-    #   y_j . v - z_j . w <= 0   (second stage)
-    # over variables [u (m) | w (p) | v (s)].
-    n, m = X.shape
-    p, s = Z.shape[1], Y.shape[1]
-    whole = np.hstack([-X, np.zeros((n, p)), Y])
-    first = np.hstack([-X, Z, np.zeros((n, s))])
-    second = np.hstack([np.zeros((n, m)), -Z, Y])
-    return np.vstack([whole, first, second])
 
 
 def _relational_lp(X, Z, Y, k: int, epsilon: float,
@@ -314,10 +287,15 @@ def _relational_lp(X, Z, Y, k: int, epsilon: float,
     """Relational LP over [u | w | v].
 
     Without extras this is the overall model: max y_k.v subject to
-    x_k.u = 1 plus the three constraint families. With pinned_overall set,
-    the overall score is held fixed through y_k.v = E * x_k.u and the
-    requested stage efficiency becomes the objective; maximizing stage 2
-    swaps the normalization to z_k.w = 1.
+    x_k.u = 1 and, for every DMU j, the three constraint families
+
+        y_j . v - x_j . u <= 0   (whole process)
+        z_j . w - x_j . u <= 0   (first stage)
+        y_j . v - z_j . w <= 0   (second stage)
+
+    With pinned_overall set, the overall score is held fixed through
+    y_k.v = E * x_k.u and the requested stage efficiency becomes the
+    objective; maximizing stage 2 swaps the normalization to z_k.w = 1.
     """
     n, m = X.shape
     p, s = Z.shape[1], Y.shape[1]
@@ -334,20 +312,16 @@ def _relational_lp(X, Z, Y, k: int, epsilon: float,
     else:
         normalization = np.concatenate([X[k], w_pad, v_pad])
 
-    eq_rows = [normalization]
-    eq_rhs = [1.0]
+    equalities = [(normalization, 1.0)]
     if pinned_overall is not None:
-        eq_rows.append(np.concatenate([-pinned_overall * X[k], w_pad, Y[k]]))
-        eq_rhs.append(0.0)
+        equalities.append((np.concatenate([-pinned_overall * X[k], w_pad, Y[k]]), 0.0))
 
-    family_rows = _relational_rows(X, Z, Y)
-    return LinearProgram(
-        objective=objective,
-        constraint_matrix=np.vstack([np.array(eq_rows), family_rows]),
-        constraint_senses=tuple([EQUAL] * len(eq_rows) + [LESS_EQUAL] * (3 * n)),
-        rhs=np.concatenate([eq_rhs, np.zeros(3 * n)]),
-        variable_lower_bounds=np.full(m + p + s, epsilon),
-    )
+    families = np.vstack([
+        np.hstack([-X, np.zeros((n, p)), Y]),
+        np.hstack([-X, Z, np.zeros((n, s))]),
+        np.hstack([np.zeros((n, m)), -Z, Y]),
+    ])
+    return _multiplier_lp(objective, equalities, families, epsilon)
 
 
 def _split_multipliers(values: np.ndarray, m: int, p: int) -> Multipliers:

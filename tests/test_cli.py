@@ -7,7 +7,14 @@ import json
 import pytest
 
 from netdea import bundled_dataset_path
-from netdea.cli import EXIT_DATA, EXIT_OK, EXIT_SOLVER, build_parser, main
+from netdea.cli import (
+    EXIT_DATA,
+    EXIT_OK,
+    EXIT_SOLVER,
+    EXIT_USAGE,
+    build_parser,
+    main,
+)
 
 BUNDLED = bundled_dataset_path()
 
@@ -39,6 +46,14 @@ class TestValidate:
     def test_singular_nouns(self, tiny_csv, capsys):
         code, out, _ = run_cli(["validate", "--data", tiny_csv], capsys)
         assert code == EXIT_OK
+        assert out.strip() == "2 DMUs, 1 input, 1 intermediate, 1 output"
+
+    def test_byte_order_mark_accepted(self, tmp_path, capsys):
+        # Excel's "CSV UTF-8" export starts the file with a UTF-8 BOM.
+        path = tmp_path / "excel.csv"
+        path.write_bytes(b"\xef\xbb\xbfid,name,x1,z1,y1\nA,Alpha,1,2,4\nB,Beta,2,1,1\n")
+        code, out, err = run_cli(["validate", "--data", str(path)], capsys)
+        assert (code, err) == (EXIT_OK, "")
         assert out.strip() == "2 DMUs, 1 input, 1 intermediate, 1 output"
 
 
@@ -149,6 +164,15 @@ class TestErrorPaths:
         code, _, err = run_cli(["solve", "--data", "/no/such/file.csv"], capsys)
         assert code == EXIT_DATA
         assert "file" in err
+
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "no" / "such" / "dir" / "r.txt"
+        code, out, err = run_cli(
+            ["compare", "--data", BUNDLED, "--out", str(target)], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"netdea: cannot write report to {target}: ")
+        assert "data file" not in err
 
     def test_oversized_epsilon_exits_4_naming_dmu(self, capsys):
         code, _, err = run_cli(

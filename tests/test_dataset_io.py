@@ -29,7 +29,7 @@ from netdea import (
 MINIMAL = "id,name,x1,z1,y1\nA,Alpha,3,2,6\nB,Beta,4,5,1\n"
 
 
-def small_report(cfg=None):
+def small_report():
     relational = [
         EfficiencyRecord("A", ModelKind.RELATIONAL_TWO_STAGE,
                          overall=0.4973, stage1=0.4973, stage2=1.0),
@@ -40,7 +40,7 @@ def small_report(cfg=None):
         EfficiencyRecord("A", ModelKind.CCR, overall=1.0),
         EfficiencyRecord("B", ModelKind.CCR, overall=0.4067),
     ]
-    return build_report(relational, ccr, cfg or SolverConfig())
+    return build_report(relational, ccr, SolverConfig())
 
 
 class TestParse:
@@ -193,10 +193,6 @@ class TestTableFormat:
         assert "rho" not in render_report(report, "table", sections=("relational",))
         assert "rho" not in render_report(report, "table", include_rho=False)
 
-    def test_score_decimals_respected(self):
-        report = small_report(SolverConfig(score_decimals=2))
-        assert "0.50(1)" in render_report(report, "table")
-
 
 class TestCsvFormat:
     def test_full_precision_round_trip(self):
@@ -226,6 +222,8 @@ class TestCsvFormat:
         text = render_report(small_report(), "csv", ranks_only=True)
         header = text.splitlines()[0].split(",")
         assert "overall" not in header and "rank_overall" in header
+        # rho is a rank statistic, so ranks-only output keeps it in every format
+        assert text.splitlines()[-1].startswith("spearman_rho,")
 
 
 class TestJsonFormat:

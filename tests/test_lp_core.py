@@ -11,8 +11,13 @@ from netdea import (
     LinearProgram,
     SolveStatus,
     ToleranceSettings,
+    SolverConfig,
+    Stage,
+    load_bundled_dataset,
     solve_lp,
 )
+from netdea.lp_core import _max_violation
+from netdea.models import _ccr_lp, _normalized_matrices, _relational_lp
 
 
 def lp(c, A, senses, b, lb=None):
@@ -192,3 +197,58 @@ class TestOracleSweep:
             statuses[got] += 1
         # the sweep must actually exercise all three outcomes
         assert min(statuses.values()) > 0
+
+
+def reference_max_violation(problem, x):
+    """Row-by-row loop that _max_violation replaces; the tests require
+    bit-equal results, since the arithmetic is the same per row."""
+    residual = problem.constraint_matrix @ x - problem.rhs
+    worst = 0.0
+    for i, sense in enumerate(problem.constraint_senses):
+        if sense == LESS_EQUAL:
+            v = residual[i]
+        elif sense == GREATER_EQUAL:
+            v = -residual[i]
+        else:
+            v = abs(residual[i])
+        if v > worst:
+            worst = float(v)
+    bound_gap = float(np.max(problem.variable_lower_bounds - x, initial=0.0))
+    return max(worst, bound_gap)
+
+
+def _bundled_lps():
+    data = load_bundled_dataset()
+    X, Z, Y = _normalized_matrices(data, SolverConfig())
+    for k in range(data.n):
+        yield _ccr_lp(X, Y, k, 1e-6)
+        yield _relational_lp(X, Z, Y, k, 1e-6)
+        yield _relational_lp(X, Z, Y, k, 1e-6, pinned_overall=0.5,
+                             maximize_stage=Stage.SECOND)
+
+
+class TestMaxViolationReference:
+    def test_random_lps_all_senses(self, make_random_lp):
+        rng = np.random.default_rng(99)
+        senses_seen = set()
+        for _ in range(300):
+            problem = make_random_lp(rng, max_vars=5, max_constraints=6)
+            senses_seen.update(problem.constraint_senses)
+            for x in (rng.normal(0.0, 3.0, problem.num_variables),
+                      problem.variable_lower_bounds.copy()):
+                assert _max_violation(problem, x) == reference_max_violation(problem, x)
+            sol = solve_lp(problem)
+            if sol.status is SolveStatus.OPTIMAL:
+                x = sol.variable_values
+                assert _max_violation(problem, x) == reference_max_violation(problem, x)
+        assert senses_seen == {LESS_EQUAL, EQUAL, GREATER_EQUAL}
+
+    def test_bundled_data_lps(self):
+        rng = np.random.default_rng(7)
+        for problem in _bundled_lps():
+            points = [rng.uniform(0.0, 2.0, problem.num_variables)]
+            sol = solve_lp(problem)
+            if sol.status is SolveStatus.OPTIMAL:
+                points.append(sol.variable_values)
+            for x in points:
+                assert _max_violation(problem, x) == reference_max_violation(problem, x)

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from netdea import (
+    EQUAL,
+    LESS_EQUAL,
     ConfigurationError,
     Dataset,
     DecompositionError,
@@ -31,6 +33,7 @@ from netdea import (
     solve_stage_independent,
     solve_stage_priority,
 )
+from netdea.models import _ccr_lp, _normalized_matrices
 
 #: epsilon small enough that scores match the epsilon-free closed forms
 TINY_EPS = SolverConfig(epsilon=1e-8)
@@ -67,12 +70,6 @@ class TestDatasetValidation:
         data, *_ = single_column_dataset(np.random.default_rng(0), 3)
         with pytest.raises(ValueError):
             data.X[0, 0] = 9.0
-
-    def test_index_of(self):
-        data, *_ = single_column_dataset(np.random.default_rng(0), 3)
-        assert data.index_of("U2") == 1
-        with pytest.raises(KeyError):
-            data.index_of("nope")
 
 
 class TestConfigValidation:
@@ -253,6 +250,16 @@ class TestErrorPaths:
         with pytest.raises(ConfigurationError, match="epsilon"):
             solve_ccr(table1, 0, cfg=SolverConfig(epsilon=0.5))
 
+    @pytest.mark.parametrize("normalize,expected", [
+        (True, "for the normalized data"), (False, "for the data"),
+    ])
+    def test_oversized_epsilon_message_names_the_scaling(self, table1,
+                                                         normalize, expected):
+        cfg = SolverConfig(epsilon=0.5, normalize_columns=normalize)
+        with pytest.raises(ConfigurationError) as excinfo:
+            solve_ccr(table1, 0, cfg=cfg)
+        assert str(excinfo.value).endswith(expected)
+
     def test_run_full_analysis_names_failing_dmu(self, table1):
         with pytest.raises(DmuSolveError) as excinfo:
             run_full_analysis(table1, SolverConfig(epsilon=0.5))
@@ -294,3 +301,51 @@ class TestRunFullAnalysis:
         for a, b in zip(first, second):
             assert a.overall == pytest.approx(b.overall, abs=1e-9)
             assert a.stage1 >= b.stage1 - 1e-7  # first priority favors stage 1
+
+
+def reference_ccr_lp(inputs, outputs, k, epsilon):
+    """Row-by-row CCR construction that _ccr_lp replaces with one hstack;
+    the tests require the two to agree bit for bit, so pivots match."""
+    n, m = inputs.shape
+    s = outputs.shape[1]
+    objective = np.concatenate([np.zeros(m), outputs[k]])
+    rows = [np.concatenate([inputs[k], np.zeros(s)])]
+    senses = [EQUAL]
+    rhs = [1.0]
+    for j in range(n):
+        rows.append(np.concatenate([-inputs[j], outputs[j]]))
+        senses.append(LESS_EQUAL)
+        rhs.append(0.0)
+    return (objective, np.array(rows), tuple(senses), np.array(rhs),
+            np.full(m + s, epsilon))
+
+
+def _assert_same_lp(lp, reference):
+    objective, matrix, senses, rhs, lower = reference
+    assert np.array_equal(lp.objective, objective)
+    assert np.array_equal(lp.constraint_matrix, matrix)
+    assert lp.constraint_senses == senses
+    assert np.array_equal(lp.rhs, rhs)
+    assert np.array_equal(lp.variable_lower_bounds, lower)
+
+
+class TestCcrLpReference:
+    PAIRS = [("x", "y"), ("x", "z"), ("z", "y")]
+
+    def _check(self, data, cfg):
+        Xn, Zn, Yn = _normalized_matrices(data, cfg)
+        by_role = {"x": Xn, "z": Zn, "y": Yn}
+        for inputs_from, outputs_from in self.PAIRS:
+            inputs, outputs = by_role[inputs_from], by_role[outputs_from]
+            for k in range(data.n):
+                _assert_same_lp(_ccr_lp(inputs, outputs, k, cfg.epsilon),
+                                reference_ccr_lp(inputs, outputs, k, cfg.epsilon))
+
+    def test_random_datasets(self, make_random_dataset):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            self._check(make_random_dataset(rng), SolverConfig())
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_bundled_data(self, table1, normalize):
+        self._check(table1, SolverConfig(normalize_columns=normalize))

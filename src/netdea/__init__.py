@@ -6,66 +6,25 @@ two-phase simplex LP solver, the CCR and relational two-stage multiplier
 models with stage-priority decomposition, dense ranking with Spearman rank
 correlation, csv dataset ingestion, and report rendering; the ``netdea``
 command drives the full pipeline.
+
+The package root exports the names the README's "Library use" section
+documents; everything else is reached through its submodule.
 """
 
-from .analysis import (
-    DEFAULT_RANK_TIE_TOL,
-    AnalysisReport,
-    RankTable,
-    RelationalTable,
-    build_report,
-    dense_rank,
-    spearman_rank_correlation,
-)
+from .analysis import AnalysisReport, build_report
 from .dataset_io import (
-    BUNDLED_DATASET_NAME,
-    ColumnRole,
-    ColumnSpec,
-    ReportFormat,
     bundled_dataset_path,
-    infer_column_specs,
-    load_bundled_dataset,
     load_dataset,
     parse_dataset,
-    render_dataset,
     render_report,
 )
-from .errors import (
-    ConfigurationError,
-    DatasetFormatError,
-    DecompositionError,
-    DmuSetMismatchError,
-    DmuSolveError,
-    LengthMismatchError,
-    NetdeaError,
-    ParseError,
-    SchemaError,
-    SolverFailureError,
-    TiesPresentError,
-    ValidationError,
-)
-from .lp_core import (
-    EQUAL,
-    GREATER_EQUAL,
-    LESS_EQUAL,
-    LinearProgram,
-    LpSolution,
-    SolveStatus,
-    ToleranceSettings,
-    solve_lp,
-)
+from .errors import DatasetFormatError, NetdeaError
+from .lp_core import LinearProgram, solve_lp
 from .models import (
-    PRODUCT_IDENTITY_TOL,
-    QUOTIENT_EXCESS_TOL,
     Dataset,
     EfficiencyRecord,
-    IoSpec,
-    ModelKind,
-    Multipliers,
     SolverConfig,
-    Stage,
     StagePriority,
-    decompose_efficiency,
     run_full_analysis,
     solve_ccr,
     solve_relational_overall,
@@ -77,51 +36,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport",
-    "BUNDLED_DATASET_NAME",
-    "ColumnRole",
-    "ColumnSpec",
-    "ConfigurationError",
     "Dataset",
     "DatasetFormatError",
-    "DecompositionError",
-    "DEFAULT_RANK_TIE_TOL",
-    "DmuSetMismatchError",
-    "DmuSolveError",
     "EfficiencyRecord",
-    "EQUAL",
-    "GREATER_EQUAL",
-    "IoSpec",
-    "LengthMismatchError",
-    "LESS_EQUAL",
     "LinearProgram",
-    "LpSolution",
-    "ModelKind",
-    "Multipliers",
     "NetdeaError",
-    "ParseError",
-    "PRODUCT_IDENTITY_TOL",
-    "QUOTIENT_EXCESS_TOL",
-    "RankTable",
-    "RelationalTable",
-    "ReportFormat",
-    "SchemaError",
-    "SolveStatus",
     "SolverConfig",
-    "SolverFailureError",
-    "Stage",
     "StagePriority",
-    "TiesPresentError",
-    "ToleranceSettings",
-    "ValidationError",
-    "bundled_dataset_path",
     "build_report",
-    "decompose_efficiency",
-    "dense_rank",
-    "infer_column_specs",
-    "load_bundled_dataset",
+    "bundled_dataset_path",
     "load_dataset",
     "parse_dataset",
-    "render_dataset",
     "render_report",
     "run_full_analysis",
     "solve_ccr",
@@ -129,5 +54,4 @@ __all__ = [
     "solve_relational_overall",
     "solve_stage_independent",
     "solve_stage_priority",
-    "spearman_rank_correlation",
 ]

@@ -132,10 +132,11 @@ def _as_rank_vector(label: str, values) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"{label} must be 1-d, got shape {arr.shape}")
-    as_int = np.asarray(np.rint(arr), dtype=int)
-    if not np.all(np.isfinite(np.asarray(arr, dtype=float))) or np.any(as_int != arr):
+    # Finiteness first: casting nan or inf to int warns.
+    if (not np.all(np.isfinite(np.asarray(arr, dtype=float)))
+            or np.any(np.rint(arr) != arr)):
         raise ValueError(f"{label} must contain integer ranks")
-    return as_int
+    return arr.astype(int)
 
 
 def spearman_rank_correlation(ranks_a, ranks_b) -> float:

@@ -3,9 +3,8 @@
 Input files are comma-separated with a header row. Column roles come from
 the header: ``id`` labels the DMU identifier, ``name`` an optional display
 name, and ``x1..xm``, ``z1..zp``, ``y1..ys`` the input, intermediate, and
-output columns. Roles can also be given explicitly as ColumnSpec values
-for files with other headers. Cell-level problems raise errors that carry
-the offending row, column, and role.
+output columns. Cell-level problems raise errors that carry the offending
+row, column, and role.
 
 Reports render three ways: ``table`` for terminals (scores rounded with
 ranks in parentheses, e.g. ``0.4973(1)``), ``csv`` and ``json`` with
@@ -20,7 +19,6 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass
 from importlib import resources
 from typing import NamedTuple
 
@@ -33,18 +31,8 @@ BUNDLED_DATASET_NAME = "iims_2020_21.csv"
 
 _ROLE_PATTERN = re.compile(r"^([xzy])[0-9]+$")
 
-
-class ColumnRole(enum.Enum):
-    ID = "id"
-    NAME = "name"
-    INPUT = "input"
-    INTERMEDIATE = "intermediate"
-    OUTPUT = "output"
-
-
-_ROLE_BY_PREFIX = {"x": ColumnRole.INPUT, "z": ColumnRole.INTERMEDIATE,
-                   "y": ColumnRole.OUTPUT}
-_MATRIX_ROLES = (ColumnRole.INPUT, ColumnRole.INTERMEDIATE, ColumnRole.OUTPUT)
+#: Header prefix -> role of a matrix column, in Dataset matrix order.
+_ROLE_BY_PREFIX = {"x": "input", "z": "intermediate", "y": "output"}
 
 
 class ReportFormat(enum.Enum):
@@ -53,189 +41,123 @@ class ReportFormat(enum.Enum):
     JSON = "json"
 
 
-@dataclass(frozen=True)
-class ColumnSpec:
-    """Maps one file column (0-based index, header label) to its role."""
+def _header_roles(labels) -> list:
+    """Role of each column: "id", "name", or a value of _ROLE_BY_PREFIX.
 
-    role: ColumnRole
-    index: int
-    label: str
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise SchemaError(f"column index must be nonnegative, got {self.index}")
-
-
-def infer_column_specs(header) -> tuple:
-    """Derive ColumnSpecs from header labels (id / name / x<i> / z<i> / y<i>)."""
-    specs = []
-    for index, raw in enumerate(header):
-        label = raw.strip()
-        key = label.lower()
-        if key == "id":
-            role = ColumnRole.ID
-        elif key == "name":
-            role = ColumnRole.NAME
-        else:
-            match = _ROLE_PATTERN.match(key)
-            if not match:
-                raise SchemaError(
-                    f"unrecognized column header {label!r}; expected id, name, "
-                    f"or x/z/y followed by a number",
-                    row=1, column=index + 1,
-                )
-            role = _ROLE_BY_PREFIX[match.group(1)]
-        specs.append(ColumnSpec(role=role, index=index, label=label))
-    return tuple(specs)
-
-
-def _check_specs(specs, width: int):
+    Raises SchemaError for an unknown or repeated label (case and
+    surrounding whitespace ignored) and for a missing id or matrix role.
+    """
+    roles = []
     seen = {}
-    for spec in specs:
-        if spec.index >= width:
+    for index, label in enumerate(labels):
+        key = label.lower()
+        if key in seen:
             raise SchemaError(
-                f"column spec {spec.label!r} points at index {spec.index}, "
-                f"but the header has only {width} columns"
+                f"repeated column header {label!r} (columns {seen[key]} and "
+                f"{index + 1})", row=1, column=index + 1,
             )
-        if spec.index in seen:
+        seen[key] = index + 1
+        match = _ROLE_PATTERN.match(key)
+        if key in ("id", "name"):
+            roles.append(key)
+        elif match:
+            roles.append(_ROLE_BY_PREFIX[match.group(1)])
+        else:
             raise SchemaError(
-                f"columns {seen[spec.index]!r} and {spec.label!r} share index {spec.index}"
+                f"unrecognized column header {label!r}; expected id, name, "
+                f"or x/z/y followed by a number",
+                row=1, column=index + 1,
             )
-        seen[spec.index] = spec.label
-    by_role = {role: [s for s in specs if s.role is role] for role in ColumnRole}
-    if len(by_role[ColumnRole.ID]) != 1:
-        raise SchemaError(
-            f"need exactly one id column, found {len(by_role[ColumnRole.ID])}"
-        )
-    if len(by_role[ColumnRole.NAME]) > 1:
-        raise SchemaError(
-            f"need at most one name column, found {len(by_role[ColumnRole.NAME])}"
-        )
+    if "id" not in roles:
+        raise SchemaError("need exactly one id column, found 0")
     for prefix, role in _ROLE_BY_PREFIX.items():
-        if not by_role[role]:
-            raise SchemaError(f"no {role.value} column (header prefix "
+        if role not in roles:
+            raise SchemaError(f"no {role} column (header prefix "
                               f"{prefix!r}) in the dataset")
-    return by_role
+    return roles
 
 
-def _parse_cell(raw: str, line: int, spec: ColumnSpec) -> float:
+def _parse_cell(raw: str, line: int, index: int, label: str, role: str) -> float:
+    where = {"row": line, "column": index + 1, "role": role}
     text = raw.strip()
     try:
         value = float(text)
     except ValueError:
         raise ParseError(
-            f"non-numeric value {raw!r} in column {spec.label!r}",
-            row=line, column=spec.index + 1, role=spec.role.value,
+            f"non-numeric value {raw!r} in column {label!r}", **where
         ) from None
     if not math.isfinite(value):
-        raise ParseError(
-            f"non-finite value {raw!r} in column {spec.label!r}",
-            row=line, column=spec.index + 1, role=spec.role.value,
-        )
+        raise ParseError(f"non-finite value {raw!r} in column {label!r}", **where)
     if value <= 0:
         raise ValidationError(
-            f"value {value} in column {spec.label!r} must be strictly positive",
-            row=line, column=spec.index + 1, role=spec.role.value,
+            f"value {value} in column {label!r} must be strictly positive", **where
         )
     return value
 
 
-def parse_dataset(text: str, column_specs=None) -> Dataset:
+def parse_dataset(text: str) -> Dataset:
     """Parse comma-separated text (header first) into a Dataset.
 
-    Roles are inferred from the header unless column_specs is given. Raises
-    ParseError for malformed cells, ValidationError for values <= 0 (both
-    with 1-based row/column coordinates), and SchemaError for structural
-    problems such as a missing role class or duplicate DMU ids.
+    Roles come from the header. Raises ParseError for malformed cells,
+    ValidationError for values <= 0 (both with 1-based row/column
+    coordinates), and SchemaError for structural problems such as an
+    unknown or repeated header, a missing role class or duplicate DMU ids.
     """
     rows = [(line, row) for line, row in
             enumerate(csv.reader(io.StringIO(text)), start=1) if row]
     if not rows:
         raise SchemaError("empty input: missing header row")
-    _, header = rows[0]
-    specs = tuple(column_specs) if column_specs is not None else infer_column_specs(header)
-    by_role = _check_specs(specs, len(header))
-
-    id_spec = by_role[ColumnRole.ID][0]
-    name_spec = by_role[ColumnRole.NAME][0] if by_role[ColumnRole.NAME] else None
+    labels = [raw.strip() for raw in rows[0][1]]
+    roles = _header_roles(labels)
+    id_index = roles.index("id")
+    name_index = roles.index("name") if "name" in roles else id_index
+    matrix_columns = {role: [i for i, r in enumerate(roles) if r == role]
+                      for role in _ROLE_BY_PREFIX.values()}
 
     ids, names = [], []
-    matrices = {role: [] for role in _MATRIX_ROLES}
+    matrices = {role: [] for role in matrix_columns}
     seen_ids = {}
     for line, row in rows[1:]:
-        if len(row) != len(header):
+        if len(row) != len(labels):
             raise ParseError(
-                f"row has {len(row)} fields, header has {len(header)}", row=line
+                f"row has {len(row)} fields, header has {len(labels)}", row=line
             )
-        dmu_id = row[id_spec.index].strip()
+        dmu_id = row[id_index].strip()
         if not dmu_id:
             raise ParseError("empty DMU id", row=line,
-                             column=id_spec.index + 1, role=ColumnRole.ID.value)
+                             column=id_index + 1, role="id")
         if dmu_id in seen_ids:
             raise SchemaError(
                 f"duplicate DMU id {dmu_id!r} (rows {seen_ids[dmu_id]} and {line})",
-                row=line, column=id_spec.index + 1, role=ColumnRole.ID.value,
+                row=line, column=id_index + 1, role="id",
             )
         seen_ids[dmu_id] = line
         ids.append(dmu_id)
-        names.append(row[name_spec.index].strip() if name_spec else dmu_id)
-        for role in _MATRIX_ROLES:
+        names.append(row[name_index].strip())
+        for role, columns in matrix_columns.items():
             matrices[role].append(
-                [_parse_cell(row[s.index], line, s) for s in by_role[role]]
+                [_parse_cell(row[i], line, i, labels[i], role) for i in columns]
             )
 
-    return Dataset(
-        dmu_ids=tuple(ids),
-        dmu_names=tuple(names),
-        X=matrices[ColumnRole.INPUT],
-        Z=matrices[ColumnRole.INTERMEDIATE],
-        Y=matrices[ColumnRole.OUTPUT],
-    )
+    X, Z, Y = matrices.values()
+    return Dataset(dmu_ids=tuple(ids), dmu_names=tuple(names), X=X, Z=Z, Y=Y)
 
 
-def load_dataset(path, column_specs=None) -> Dataset:
+def load_dataset(path) -> Dataset:
     """Read a dataset file (UTF-8, with or without a byte-order mark) and
-    parse it."""
+    parse it. A file that is not UTF-8 text raises ParseError."""
     with open(path, encoding="utf-8-sig") as handle:
-        return parse_dataset(handle.read(), column_specs)
-
-
-def load_bundled_dataset() -> Dataset:
-    """Load the packaged 13-DMU example dataset (3 inputs, 1 intermediate,
-    1 output; management institutes, 2020-21 figures)."""
-    text = resources.files("netdea").joinpath(f"data/{BUNDLED_DATASET_NAME}")
-    return parse_dataset(text.read_text(encoding="utf-8"))
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    return parse_dataset(text)
 
 
 def bundled_dataset_path() -> str:
-    """Filesystem path of the bundled dataset (for CLI defaults and docs)."""
+    """Filesystem path of the bundled 13-DMU example dataset (3 inputs, 1
+    intermediate, 1 output; management institutes, 2020-21 figures)."""
     return str(resources.files("netdea").joinpath(f"data/{BUNDLED_DATASET_NAME}"))
-
-
-def _format_number(value: float) -> str:
-    # repr round-trips floats exactly, so re-parsing a rendered file
-    # reproduces the matrices bit for bit.
-    return repr(float(value))
-
-
-def render_dataset(data: Dataset) -> str:
-    """Render a Dataset back to comma-separated text (full precision)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["id", "name"]
-        + [f"x{i + 1}" for i in range(data.m)]
-        + [f"z{i + 1}" for i in range(data.p)]
-        + [f"y{i + 1}" for i in range(data.s)]
-    )
-    for row, dmu_id in enumerate(data.dmu_ids):
-        writer.writerow(
-            [dmu_id, data.dmu_names[row]]
-            + [_format_number(v) for v in data.X[row]]
-            + [_format_number(v) for v in data.Z[row]]
-            + [_format_number(v) for v in data.Y[row]]
-        )
-    return out.getvalue()
 
 
 #: Decimals of the scores in the table format. DEFAULT_RANK_TIE_TOL (5e-5)

@@ -41,8 +41,8 @@ class DatasetFormatError(NetdeaError):
     """Base for ingestion errors; carries a machine-readable cell location.
 
     ``row`` is the 1-based line number in the source text (header = line 1),
-    ``column`` the header label, ``role`` the column role name, each of which
-    may be None when the error is not tied to a single cell.
+    ``column`` the 1-based column number, ``role`` the column role name,
+    each of which may be None when the error is not tied to a single cell.
     """
 
     def __init__(self, message: str, row=None, column=None, role=None):

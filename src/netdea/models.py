@@ -56,11 +56,6 @@ QUOTIENT_EXCESS_TOL = 1e-9
 _SCORE_EXCESS_TOL = 1e-9
 
 
-class Stage(enum.Enum):
-    FIRST = "first"
-    SECOND = "second"
-
-
 class StagePriority(enum.Enum):
     FIRST_STAGE = "first"
     SECOND_STAGE = "second"
@@ -70,9 +65,6 @@ class ModelKind(enum.Enum):
     CCR = "ccr"
     RELATIONAL_TWO_STAGE = "relational_two_stage"
     INDEPENDENT_STAGES = "independent_stages"
-
-
-_ROLES = ("x", "z", "y")
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,21 +164,6 @@ class Multipliers:
     v: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class IoSpec:
-    """Selects which dataset matrices feed a plain CCR ratio model."""
-
-    inputs_from: str = "x"
-    outputs_from: str = "y"
-
-    def __post_init__(self):
-        for role in (self.inputs_from, self.outputs_from):
-            if role not in _ROLES:
-                raise ValueError(f"io role must be one of {_ROLES}, got {role!r}")
-        if self.inputs_from == self.outputs_from:
-            raise ValueError("inputs_from and outputs_from must differ")
-
-
 @dataclass(frozen=True, eq=False)
 class EfficiencyRecord:
     """Per-DMU scores of one model solve; unset fields are None."""
@@ -283,7 +260,7 @@ def _ccr_lp(inputs: np.ndarray, outputs: np.ndarray, k: int, epsilon: float) -> 
 
 def _relational_lp(X, Z, Y, k: int, epsilon: float,
                    pinned_overall: float | None = None,
-                   maximize_stage: Stage | None = None) -> LinearProgram:
+                   maximize_stage: StagePriority | None = None) -> LinearProgram:
     """Relational LP over [u | w | v].
 
     Without extras this is the overall model: max y_k.v subject to
@@ -303,11 +280,11 @@ def _relational_lp(X, Z, Y, k: int, epsilon: float,
     w_pad = np.zeros(p)
     v_pad = np.zeros(s)
 
-    if maximize_stage is Stage.FIRST:
+    if maximize_stage is StagePriority.FIRST_STAGE:
         objective = np.concatenate([u_pad, Z[k], v_pad])
     else:
         objective = np.concatenate([u_pad, w_pad, Y[k]])
-    if maximize_stage is Stage.SECOND:
+    if maximize_stage is StagePriority.SECOND_STAGE:
         normalization = np.concatenate([u_pad, Z[k], v_pad])
     else:
         normalization = np.concatenate([X[k], w_pad, v_pad])
@@ -328,64 +305,59 @@ def _split_multipliers(values: np.ndarray, m: int, p: int) -> Multipliers:
     return Multipliers(u=values[:m], w=values[m:m + p], v=values[m + p:])
 
 
-def solve_ccr(data: Dataset, k: int, io_spec: IoSpec | None = None,
+def _ccr_record(data: Dataset, k: int, cfg: SolverConfig, inputs: str,
+                outputs: str) -> EfficiencyRecord:
+    """CCR record of DMU k; inputs and outputs name the two matrices by
+    their Multipliers slot: "u" (X), "w" (Z) or "v" (Y)."""
+    k = _check_index(data, k)
+    by_slot = dict(zip("uwv", _normalized_matrices(data, cfg)))
+    lp = _ccr_lp(by_slot[inputs], by_slot[outputs], k, cfg.epsilon)
+    context = f"CCR model for DMU {data.dmu_ids[k]}"
+    sol = _solve_or_raise(lp, cfg, context)
+    split = by_slot[inputs].shape[1]
+    weights = {inputs: sol.variable_values[:split],
+               outputs: sol.variable_values[split:]}
+    return EfficiencyRecord(
+        dmu_id=data.dmu_ids[k],
+        model_kind=ModelKind.CCR,
+        overall=_clamp_score(sol.objective_value, context),
+        multipliers=Multipliers(**weights),
+    )
+
+
+def solve_ccr(data: Dataset, k: int,
               cfg: SolverConfig | None = None) -> EfficiencyRecord:
-    """CCR ratio efficiency of DMU k for the matrix pair chosen by io_spec.
+    """Whole-process CCR ratio efficiency of DMU k (X -> Y), ignoring the
+    intermediate products.
 
-    The default spec (X -> Y) measures the whole process while ignoring the
-    intermediate products. The optimum of
+    The optimum of
 
-        max  sum_r out_rk * b_r   s.t.  sum_i in_ik * a_i = 1,
-        sum_r out_rj * b_r - sum_i in_ij * a_i <= 0 for all j,  a, b >= eps
+        max  sum_r y_rk * v_r   s.t.  sum_i x_ik * u_i = 1,
+        sum_r y_rj * v_r - sum_i x_ij * u_i <= 0 for all j,  u, v >= eps
 
     is the best weighted-output to weighted-input ratio normalized so no DMU
     exceeds 1. Raises ConfigurationError when epsilon makes the LP
     infeasible; numerical failures propagate as SolverFailureError.
     """
-    cfg = cfg or SolverConfig()
-    io_spec = io_spec or IoSpec()
-    k = _check_index(data, k)
-    Xn, Zn, Yn = _normalized_matrices(data, cfg)
-    by_role = {"x": Xn, "z": Zn, "y": Yn}
-    inputs = by_role[io_spec.inputs_from]
-    outputs = by_role[io_spec.outputs_from]
-
-    lp = _ccr_lp(inputs, outputs, k, cfg.epsilon)
-    sol = _solve_or_raise(lp, cfg, f"CCR model for DMU {data.dmu_ids[k]}")
-    score = _clamp_score(sol.objective_value, f"CCR model for DMU {data.dmu_ids[k]}")
-
-    m_in = inputs.shape[1]
-    weights = {io_spec.inputs_from: sol.variable_values[:m_in],
-               io_spec.outputs_from: sol.variable_values[m_in:]}
-    return EfficiencyRecord(
-        dmu_id=data.dmu_ids[k],
-        model_kind=ModelKind.CCR,
-        overall=score,
-        multipliers=Multipliers(u=weights.get("x"), w=weights.get("z"), v=weights.get("y")),
-    )
+    return _ccr_record(data, k, cfg or SolverConfig(), "u", "v")
 
 
-def solve_stage_independent(data: Dataset, k: int, stage: Stage,
+def solve_stage_independent(data: Dataset, k: int, stage: StagePriority,
                             cfg: SolverConfig | None = None) -> EfficiencyRecord:
     """Independent CCR efficiency of one stage, ignoring the other.
 
-    Stage FIRST treats the intermediates as the outputs (X -> Z); stage
-    SECOND treats them as the inputs (Z -> Y). The score lands in the
+    FIRST_STAGE treats the intermediates as the outputs (X -> Z);
+    SECOND_STAGE treats them as the inputs (Z -> Y). The score lands in the
     matching stage slot of the record; overall stays unset.
     """
-    cfg = cfg or SolverConfig()
-    if stage is Stage.FIRST:
-        spec = IoSpec(inputs_from="x", outputs_from="z")
-    elif stage is Stage.SECOND:
-        spec = IoSpec(inputs_from="z", outputs_from="y")
-    else:
-        raise ValueError(f"unknown stage {stage!r}")
-    ccr = solve_ccr(data, k, spec, cfg)
+    first = StagePriority(stage) is StagePriority.FIRST_STAGE
+    inputs, outputs = ("u", "w") if first else ("w", "v")
+    ccr = _ccr_record(data, k, cfg or SolverConfig(), inputs, outputs)
     return EfficiencyRecord(
         dmu_id=ccr.dmu_id,
         model_kind=ModelKind.INDEPENDENT_STAGES,
-        stage1=ccr.overall if stage is Stage.FIRST else None,
-        stage2=ccr.overall if stage is Stage.SECOND else None,
+        stage1=ccr.overall if first else None,
+        stage2=None if first else ccr.overall,
         multipliers=ccr.multipliers,
     )
 
@@ -448,9 +420,9 @@ def solve_stage_priority(data: Dataset, k: int, overall: float,
     overall = _clamp_score(float(overall), f"pinned overall for DMU {data.dmu_ids[k]}")
     Xn, Zn, Yn = _normalized_matrices(data, cfg)
 
-    stage = Stage.FIRST if priority is StagePriority.FIRST_STAGE else Stage.SECOND
+    priority = StagePriority(priority)
     lp = _relational_lp(Xn, Zn, Yn, k, cfg.epsilon,
-                        pinned_overall=overall, maximize_stage=stage)
+                        pinned_overall=overall, maximize_stage=priority)
     dmu = data.dmu_ids[k]
     context = f"stage-priority model for DMU {dmu}"
     sol = _solve_or_raise(
@@ -462,7 +434,7 @@ def solve_stage_priority(data: Dataset, k: int, overall: float,
     )
     fixed = _clamp_score(sol.objective_value, context)
     free = decompose_efficiency(overall, fixed)
-    if stage is Stage.FIRST:
+    if priority is StagePriority.FIRST_STAGE:
         stage1, stage2 = fixed, free
     else:
         stage1, stage2 = free, fixed
@@ -494,7 +466,7 @@ def run_full_analysis(data: Dataset, cfg: SolverConfig | None = None):
             relational.append(
                 solve_stage_priority(data, k, overall, cfg.stage_priority, cfg)
             )
-            ccr.append(solve_ccr(data, k, IoSpec(), cfg))
+            ccr.append(solve_ccr(data, k, cfg))
         except DmuSolveError:
             raise
         except Exception as exc:

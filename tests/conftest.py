@@ -6,14 +6,8 @@ import itertools
 import numpy as np
 import pytest
 
-from netdea import (
-    EQUAL,
-    GREATER_EQUAL,
-    LESS_EQUAL,
-    Dataset,
-    LinearProgram,
-    load_bundled_dataset,
-)
+from netdea import Dataset, LinearProgram, bundled_dataset_path, load_dataset
+from netdea.lp_core import EQUAL, GREATER_EQUAL, LESS_EQUAL
 
 _FEAS_TOL = 1e-7
 
@@ -142,7 +136,7 @@ def random_dataset(rng: np.random.Generator, n: int | None = None,
 
 @pytest.fixture(scope="session")
 def table1() -> Dataset:
-    return load_bundled_dataset()
+    return load_dataset(bundled_dataset_path())
 
 
 @pytest.fixture(scope="session")

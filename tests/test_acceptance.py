@@ -13,14 +13,9 @@ import time
 import numpy as np
 import pytest
 
-from netdea import (
-    SolveStatus,
-    SolverConfig,
-    build_report,
-    run_full_analysis,
-    solve_lp,
-    spearman_rank_correlation,
-)
+from netdea import SolverConfig, build_report, run_full_analysis, solve_lp
+from netdea.analysis import spearman_rank_correlation
+from netdea.lp_core import SolveStatus
 
 DMU_IDS = tuple(f"D{i}" for i in range(1, 14))
 

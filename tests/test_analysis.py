@@ -1,23 +1,24 @@
 """Dense ranking, Spearman correlation, and report assembly."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from netdea import (
+from netdea import AnalysisReport, EfficiencyRecord, SolverConfig, build_report
+from netdea.analysis import (
     DEFAULT_RANK_TIE_TOL,
-    AnalysisReport,
-    DmuSetMismatchError,
-    EfficiencyRecord,
-    LengthMismatchError,
-    ModelKind,
     RankTable,
-    SolverConfig,
-    TiesPresentError,
-    ValidationError,
-    build_report,
     dense_rank,
     spearman_rank_correlation,
 )
+from netdea.errors import (
+    DmuSetMismatchError,
+    LengthMismatchError,
+    TiesPresentError,
+    ValidationError,
+)
+from netdea.models import ModelKind
 
 
 def relational_record(dmu_id, overall, stage1, stage2):
@@ -127,6 +128,12 @@ class TestSpearman:
         with pytest.raises(ValueError, match="integer"):
             spearman_rank_correlation([1.0, 2.5, 3.0], [1, 2, 3])
 
+    def test_non_finite_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="integer"):
+                spearman_rank_correlation([1, np.nan, 3], [1, 2, 3])
+
     def test_too_short(self):
         with pytest.raises(ValueError, match="at least 2"):
             spearman_rank_correlation([1], [1])
@@ -218,7 +225,7 @@ class TestBuildReport:
     def test_report_invariants(self):
         table = RankTable(("A", "B"), [0.9, 0.5], [1, 2])
         other = RankTable(("A", "C"), [0.9, 0.5], [1, 2])
-        from netdea import RelationalTable
+        from netdea.analysis import RelationalTable
 
         with pytest.raises(DmuSetMismatchError):
             RelationalTable(overall=table, stage1=table, stage2=other)

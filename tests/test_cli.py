@@ -165,6 +165,15 @@ class TestErrorPaths:
         assert code == EXIT_DATA
         assert "file" in err
 
+    def test_non_utf8_file_exits_3(self, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes("id,name,x1,z1,y1\nA,Caf\u00e9,1,2,4\nB,b,2,1,1\n"
+                           .encode("latin-1"))
+        code, out, err = run_cli(["validate", "--data", str(latin1)], capsys)
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.startswith("netdea: dataset error: ")
+        assert "not UTF-8 text" in err
+
     def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
         target = tmp_path / "no" / "such" / "dir" / "r.txt"
         code, out, err = run_cli(

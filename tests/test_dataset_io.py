@@ -1,30 +1,24 @@
-"""Dataset parsing (role inference, cell-located errors), serialization
-round-trips, and the three report output formats."""
+"""Dataset parsing (header roles, cell-located errors), the bundled
+dataset, and the three report output formats."""
 
 import csv
 import io
 import json
 
-import numpy as np
 import pytest
 
 from netdea import (
-    BUNDLED_DATASET_NAME,
-    ColumnRole,
-    ColumnSpec,
     EfficiencyRecord,
-    ModelKind,
-    ParseError,
-    SchemaError,
     SolverConfig,
-    ValidationError,
     build_report,
     bundled_dataset_path,
-    load_bundled_dataset,
+    load_dataset,
     parse_dataset,
-    render_dataset,
     render_report,
 )
+from netdea.dataset_io import BUNDLED_DATASET_NAME
+from netdea.errors import ParseError, SchemaError, ValidationError
+from netdea.models import ModelKind
 
 MINIMAL = "id,name,x1,z1,y1\nA,Alpha,3,2,6\nB,Beta,4,5,1\n"
 
@@ -115,31 +109,16 @@ class TestParse:
         with pytest.raises(SchemaError, match="id column"):
             parse_dataset("name,x1,z1,y1\na,1,1,1\nb,2,2,2\n")
 
-    def test_explicit_column_specs(self):
-        text = "unit,spend,pubs,grads\nA,3,2,6\nB,4,5,1\n"
-        specs = (
-            ColumnSpec(ColumnRole.ID, 0, "unit"),
-            ColumnSpec(ColumnRole.INPUT, 1, "spend"),
-            ColumnSpec(ColumnRole.INTERMEDIATE, 2, "pubs"),
-            ColumnSpec(ColumnRole.OUTPUT, 3, "grads"),
-        )
-        data = parse_dataset(text, specs)
-        assert data.X[0, 0] == 3.0 and data.dmu_names == ("A", "B")
-
-    def test_spec_index_out_of_range(self):
-        specs = (
-            ColumnSpec(ColumnRole.ID, 0, "id"),
-            ColumnSpec(ColumnRole.INPUT, 9, "x1"),
-            ColumnSpec(ColumnRole.INTERMEDIATE, 2, "z1"),
-            ColumnSpec(ColumnRole.OUTPUT, 3, "y1"),
-        )
-        with pytest.raises(SchemaError, match="index"):
-            parse_dataset(MINIMAL, specs)
+    @pytest.mark.parametrize("header", ["id,x1,x1,z1,y1", "id,x1, X1 ,z1,y1"])
+    def test_repeated_header(self, header):
+        with pytest.raises(SchemaError, match="repeated") as excinfo:
+            parse_dataset(header + "\nA,1,2,3,4\nB,5,6,7,8\n")
+        assert (excinfo.value.row, excinfo.value.column) == (1, 3)
 
 
 class TestBundledDataset:
     def test_shape_and_cells(self):
-        data = load_bundled_dataset()
+        data = load_dataset(bundled_dataset_path())
         assert (data.n, data.m, data.p, data.s) == (13, 3, 1, 1)
         assert data.dmu_ids[0] == "D1" and data.dmu_ids[-1] == "D13"
         assert data.X[0, 0] == 2783060307.0
@@ -151,25 +130,6 @@ class TestBundledDataset:
         assert path.endswith(BUNDLED_DATASET_NAME)
         with open(path, encoding="utf-8") as handle:
             assert handle.readline().strip() == "id,name,x1,x2,x3,z1,y1"
-
-
-class TestDatasetRoundTrip:
-    def test_parse_render_parse_identity(self):
-        rng = np.random.default_rng(47)
-        from netdea import Dataset
-
-        data = Dataset(
-            ("A", "B", "C"), ("Alpha", "Beta, co", "Gamma"),
-            rng.uniform(0.1, 1e9, size=(3, 2)),
-            rng.uniform(0.1, 1e9, size=(3, 1)),
-            rng.uniform(0.1, 1e9, size=(3, 3)),
-        )
-        again = parse_dataset(render_dataset(data))
-        assert again.dmu_ids == data.dmu_ids
-        assert again.dmu_names == data.dmu_names
-        np.testing.assert_allclose(again.X, data.X, rtol=0, atol=0)
-        np.testing.assert_allclose(again.Z, data.Z, rtol=0, atol=0)
-        np.testing.assert_allclose(again.Y, data.Y, rtol=0, atol=0)
 
 
 class TestTableFormat:

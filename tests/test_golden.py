@@ -17,12 +17,12 @@ import pytest
 
 from netdea import (
     EfficiencyRecord,
-    ModelKind,
     build_report,
     bundled_dataset_path,
     render_report,
 )
 from netdea.cli import main
+from netdea.models import ModelKind
 
 GOLDEN = Path(__file__).parent / "golden"
 FORMATS = ("table", "csv", "json")

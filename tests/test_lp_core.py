@@ -5,18 +5,21 @@ import numpy as np
 import pytest
 
 from netdea import (
+    LinearProgram,
+    SolverConfig,
+    StagePriority,
+    bundled_dataset_path,
+    load_dataset,
+    solve_lp,
+)
+from netdea.lp_core import (
     EQUAL,
     GREATER_EQUAL,
     LESS_EQUAL,
-    LinearProgram,
     SolveStatus,
     ToleranceSettings,
-    SolverConfig,
-    Stage,
-    load_bundled_dataset,
-    solve_lp,
+    _max_violation,
 )
-from netdea.lp_core import _max_violation
 from netdea.models import _ccr_lp, _normalized_matrices, _relational_lp
 
 
@@ -218,13 +221,13 @@ def reference_max_violation(problem, x):
 
 
 def _bundled_lps():
-    data = load_bundled_dataset()
+    data = load_dataset(bundled_dataset_path())
     X, Z, Y = _normalized_matrices(data, SolverConfig())
     for k in range(data.n):
         yield _ccr_lp(X, Y, k, 1e-6)
         yield _relational_lp(X, Z, Y, k, 1e-6)
         yield _relational_lp(X, Z, Y, k, 1e-6, pinned_overall=0.5,
-                             maximize_stage=Stage.SECOND)
+                             maximize_stage=StagePriority.SECOND_STAGE)
 
 
 class TestMaxViolationReference:

@@ -12,28 +12,30 @@ import numpy as np
 import pytest
 
 from netdea import (
-    EQUAL,
-    LESS_EQUAL,
-    ConfigurationError,
     Dataset,
-    DecompositionError,
-    DmuSolveError,
     EfficiencyRecord,
-    IoSpec,
-    ModelKind,
     SolverConfig,
-    SolverFailureError,
-    Stage,
     StagePriority,
-    ValidationError,
-    decompose_efficiency,
     run_full_analysis,
     solve_ccr,
     solve_relational_overall,
     solve_stage_independent,
     solve_stage_priority,
 )
-from netdea.models import _ccr_lp, _normalized_matrices
+from netdea.errors import (
+    ConfigurationError,
+    DecompositionError,
+    DmuSolveError,
+    SolverFailureError,
+    ValidationError,
+)
+from netdea.lp_core import EQUAL, LESS_EQUAL
+from netdea.models import (
+    ModelKind,
+    _ccr_lp,
+    _normalized_matrices,
+    decompose_efficiency,
+)
 
 #: epsilon small enough that scores match the epsilon-free closed forms
 TINY_EPS = SolverConfig(epsilon=1e-8)
@@ -79,12 +81,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             SolverConfig(epsilon=1.0)
 
-    def test_io_spec(self):
-        with pytest.raises(ValueError):
-            IoSpec(inputs_from="x", outputs_from="x")
-        with pytest.raises(ValueError):
-            IoSpec(inputs_from="q", outputs_from="y")
-
 
 class TestCcrClosedForm:
     def test_matches_ratio_oracle(self):
@@ -104,12 +100,6 @@ class TestCcrClosedForm:
         best = int(np.argmax(y / x))
         assert solve_ccr(data, best, cfg=TINY_EPS).overall == pytest.approx(1.0, abs=1e-9)
 
-    def test_io_spec_selects_matrices(self):
-        rng = np.random.default_rng(3)
-        data, x, z, _ = single_column_dataset(rng, 5)
-        ratios = z / x
-        record = solve_ccr(data, 2, IoSpec(inputs_from="x", outputs_from="z"), TINY_EPS)
-        assert record.overall == pytest.approx(ratios[2] / ratios.max(), abs=1e-6)
 
     def test_normalization_leaves_scores_unchanged(self):
         rng = np.random.default_rng(5)
@@ -132,8 +122,8 @@ class TestIndependentStages:
     def test_stage_slots(self):
         rng = np.random.default_rng(17)
         data, x, z, y = single_column_dataset(rng, 5)
-        first = solve_stage_independent(data, 1, Stage.FIRST, TINY_EPS)
-        second = solve_stage_independent(data, 1, Stage.SECOND, TINY_EPS)
+        first = solve_stage_independent(data, 1, StagePriority.FIRST_STAGE, TINY_EPS)
+        second = solve_stage_independent(data, 1, StagePriority.SECOND_STAGE, TINY_EPS)
         assert first.stage1 is not None and first.stage2 is None
         assert second.stage2 is not None and second.stage1 is None
         r1 = z / x

@@ -111,8 +111,8 @@ def dense_rank(scores, tie_tol: float = DEFAULT_RANK_TIE_TOL) -> np.ndarray:
         raise ValueError(f"scores must be 1-d, got shape {scores.shape}")
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    if tie_tol < 0:
-        raise ValueError(f"tie_tol must be nonnegative, got {tie_tol}")
+    if not (np.isfinite(tie_tol) and tie_tol >= 0):
+        raise ValueError(f"tie_tol must be finite and nonnegative, got {tie_tol}")
     if scores.size == 0:
         return np.zeros(0, dtype=int)
 
@@ -132,8 +132,8 @@ def _as_rank_vector(label: str, values) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"{label} must be 1-d, got shape {arr.shape}")
-    # Finiteness first: casting nan or inf to int warns.
-    if (not np.all(np.isfinite(np.asarray(arr, dtype=float)))
+    # Range first: casting nan, inf or a value beyond int64 to int warns.
+    if (not np.all(np.abs(np.asarray(arr, dtype=float)) < 2.0**63)
             or np.any(np.rint(arr) != arr)):
         raise ValueError(f"{label} must contain integer ranks")
     return arr.astype(int)

@@ -28,15 +28,8 @@ import os
 import sys
 
 from .analysis import build_report
-from .dataset_io import load_dataset, render_report
-from .errors import (
-    ConfigurationError,
-    DatasetFormatError,
-    DecompositionError,
-    DmuSolveError,
-    NetdeaError,
-    SolverFailureError,
-)
+from .dataset_io import REPORT_FORMATS, load_dataset, render_report
+from .errors import DatasetFormatError, DmuSolveError, NetdeaError
 from .models import SolverConfig, StagePriority, run_full_analysis
 
 EXIT_OK = 0
@@ -44,18 +37,10 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_SOLVER = 4
 
-_SOLVER_ERRORS = (SolverFailureError, ConfigurationError, DecompositionError,
-                  DmuSolveError)
-
 _SECTIONS_BY_MODEL = {
     "both": ("relational", "ccr"),
     "relational": ("relational",),
     "ccr": ("ccr",),
-}
-
-_PRIORITY_BY_FLAG = {
-    "first": StagePriority.FIRST_STAGE,
-    "second": StagePriority.SECOND_STAGE,
 }
 
 
@@ -77,7 +62,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, with_model: bool):
     if with_model:
         parser.add_argument("--model", choices=sorted(_SECTIONS_BY_MODEL),
                             default="both", help="model family to report")
-    parser.add_argument("--stage-priority", choices=sorted(_PRIORITY_BY_FLAG),
+    parser.add_argument("--stage-priority", choices=[p.value for p in StagePriority],
                         default="second", dest="stage_priority",
                         help="stage whose efficiency is maximized when "
                              "splitting the relational score (default second)")
@@ -85,7 +70,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, with_model: bool):
                         default=os.environ.get("NETDEA_EPSILON", "1e-6"),
                         help="lower bound on every multiplier weight "
                              "(default 1e-6, or NETDEA_EPSILON)")
-    parser.add_argument("--format", choices=("table", "csv", "json"),
+    parser.add_argument("--format", choices=REPORT_FORMATS,
                         default="table", dest="output_format",
                         help="report format (default table)")
     parser.add_argument("--out", metavar="PATH", dest="output_path",
@@ -137,8 +122,7 @@ def _run(args) -> int:
         sys.stdout.write(line + "\n")
         return EXIT_OK
 
-    cfg = SolverConfig(epsilon=args.epsilon,
-                       stage_priority=_PRIORITY_BY_FLAG[args.stage_priority])
+    cfg = SolverConfig(epsilon=args.epsilon, stage_priority=args.stage_priority)
     relational, ccr = run_full_analysis(data, cfg)
     report = build_report(relational, ccr, cfg)
     text = render_report(report, args.output_format,
@@ -181,11 +165,8 @@ def main(argv=None) -> int:
     except DatasetFormatError as exc:
         print(f"netdea: {_describe(exc)}", file=sys.stderr)
         return EXIT_DATA
-    except _SOLVER_ERRORS as exc:
-        print(f"netdea: {_describe(exc)}", file=sys.stderr)
-        return EXIT_SOLVER
     except NetdeaError as exc:
-        print(f"netdea: {exc}", file=sys.stderr)
+        print(f"netdea: {_describe(exc)}", file=sys.stderr)
         return EXIT_SOLVER
 
 

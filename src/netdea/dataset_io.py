@@ -14,7 +14,6 @@ full-precision scores and integer ranks for downstream tools.
 from __future__ import annotations
 
 import csv
-import enum
 import io
 import json
 import math
@@ -24,6 +23,7 @@ from typing import NamedTuple
 
 from .analysis import AnalysisReport, RankTable
 from .errors import ParseError, SchemaError, ValidationError
+from .lp_core import FEASIBILITY_TOL, MAX_ITERATIONS, OPTIMALITY_TOL, PIVOT_TOL
 from .models import Dataset, SolverConfig
 
 #: File name of the bundled 13-institute example dataset.
@@ -35,17 +35,12 @@ _ROLE_PATTERN = re.compile(r"^([xzy])[0-9]+$")
 _ROLE_BY_PREFIX = {"x": "input", "z": "intermediate", "y": "output"}
 
 
-class ReportFormat(enum.Enum):
-    TABLE = "table"
-    CSV = "csv"
-    JSON = "json"
-
-
-def _header_roles(labels) -> list:
+def _header_roles(labels, line: int) -> list:
     """Role of each column: "id", "name", or a value of _ROLE_BY_PREFIX.
 
     Raises SchemaError for an unknown or repeated label (case and
-    surrounding whitespace ignored) and for a missing id or matrix role.
+    surrounding whitespace ignored), located at the header's line number,
+    and for a missing id or matrix role.
     """
     roles = []
     seen = {}
@@ -54,7 +49,7 @@ def _header_roles(labels) -> list:
         if key in seen:
             raise SchemaError(
                 f"repeated column header {label!r} (columns {seen[key]} and "
-                f"{index + 1})", row=1, column=index + 1,
+                f"{index + 1})", row=line, column=index + 1,
             )
         seen[key] = index + 1
         match = _ROLE_PATTERN.match(key)
@@ -66,7 +61,7 @@ def _header_roles(labels) -> list:
             raise SchemaError(
                 f"unrecognized column header {label!r}; expected id, name, "
                 f"or x/z/y followed by a number",
-                row=1, column=index + 1,
+                row=line, column=index + 1,
             )
     if "id" not in roles:
         raise SchemaError("need exactly one id column, found 0")
@@ -107,8 +102,9 @@ def parse_dataset(text: str) -> Dataset:
             enumerate(csv.reader(io.StringIO(text)), start=1) if row]
     if not rows:
         raise SchemaError("empty input: missing header row")
-    labels = [raw.strip() for raw in rows[0][1]]
-    roles = _header_roles(labels)
+    header_line, header = rows[0]
+    labels = [raw.strip() for raw in header]
+    roles = _header_roles(labels, header_line)
     id_index = roles.index("id")
     name_index = roles.index("name") if "name" in roles else id_index
     matrix_columns = {role: [i for i, r in enumerate(roles) if r == role]
@@ -165,6 +161,9 @@ def bundled_dataset_path() -> str:
 #: table; change the two together.
 SCORE_DECIMALS = 4
 
+#: The formats render_report accepts.
+REPORT_FORMATS = ("table", "csv", "json")
+
 _SECTIONS = ("relational", "ccr")
 
 #: Placeholder rho for reports that print no rho line at all.
@@ -187,18 +186,6 @@ def _display_score(value: float) -> str:
     if rounded == round(rounded):
         return str(int(round(rounded)))
     return f"{rounded:.{SCORE_DECIMALS}f}"
-
-
-def _normalize_format(fmt) -> ReportFormat:
-    if isinstance(fmt, ReportFormat):
-        return fmt
-    try:
-        return ReportFormat(str(fmt).lower())
-    except ValueError:
-        raise ValueError(
-            f"unknown report format {fmt!r}; expected one of "
-            f"{[f.value for f in ReportFormat]}"
-        ) from None
 
 
 def _normalize_sections(sections) -> tuple:
@@ -280,14 +267,14 @@ def _render_csv(columns, rho, ranks_only: bool) -> str:
 def _config_payload(cfg: SolverConfig) -> dict:
     return {
         "epsilon": cfg.epsilon,
-        "normalize_columns": cfg.normalize_columns,
+        "normalize_columns": True,
         "stage_priority": cfg.stage_priority.value,
         "score_decimals": SCORE_DECIMALS,
         "tolerances": {
-            "feasibility_tol": cfg.tolerances.feasibility_tol,
-            "pivot_tol": cfg.tolerances.pivot_tol,
-            "optimality_tol": cfg.tolerances.optimality_tol,
-            "max_iterations": cfg.tolerances.max_iterations,
+            "feasibility_tol": FEASIBILITY_TOL,
+            "pivot_tol": PIVOT_TOL,
+            "optimality_tol": OPTIMALITY_TOL,
+            "max_iterations": MAX_ITERATIONS,
         },
     }
 
@@ -305,25 +292,27 @@ def _render_json(columns, rho, ranks_only: bool, cfg: SolverConfig) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def render_report(report: AnalysisReport, fmt=ReportFormat.TABLE,
+def render_report(report: AnalysisReport, fmt: str = "table",
                   sections=("relational", "ccr"), include_rho: bool = True,
                   ranks_only: bool = False) -> str:
     """Serialize an AnalysisReport.
 
-    fmt picks the output shape: ``table`` rounds scores to SCORE_DECIMALS
-    and appends the rank in parentheses; ``csv`` and ``json`` carry
-    full-precision scores and integer rank fields, json additionally
-    embedding the solver config. sections restricts output to the
+    fmt, one of REPORT_FORMATS, picks the output shape: ``table`` rounds
+    scores to SCORE_DECIMALS and appends the rank in parentheses; ``csv``
+    and ``json`` carry full-precision scores and integer rank fields, json
+    additionally embedding the solver config. sections restricts output to the
     relational or CCR side; rho is emitted, in every format, only when both
     are present and include_rho is set. ranks_only drops score values,
     keeping the rank columns.
     """
-    fmt = _normalize_format(fmt)
+    if fmt not in REPORT_FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}; expected one of "
+                         f"{list(REPORT_FORMATS)}")
     sections = _normalize_sections(sections)
     columns = _report_columns(report, sections)
     rho = report.spearman_rho if include_rho and len(sections) > 1 else _NO_RHO
-    if fmt is ReportFormat.TABLE:
+    if fmt == "table":
         return _render_table(columns, rho, ranks_only)
-    if fmt is ReportFormat.CSV:
+    if fmt == "csv":
         return _render_csv(columns, rho, ranks_only)
     return _render_json(columns, rho, ranks_only, report.config_echo)

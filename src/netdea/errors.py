@@ -40,7 +40,8 @@ class DmuSetMismatchError(NetdeaError):
 class DatasetFormatError(NetdeaError):
     """Base for ingestion errors; carries a machine-readable cell location.
 
-    ``row`` is the 1-based line number in the source text (header = line 1),
+    ``row`` is the 1-based line number in the source text (blank lines
+    count, so the header is line 1 unless blank lines come before it),
     ``column`` the 1-based column number, ``role`` the column role name,
     each of which may be None when the error is not tied to a single cell.
     """

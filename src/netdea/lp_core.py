@@ -29,34 +29,21 @@ _FLIPPED = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}
 
 _SMALL_PIVOT_STRIKE_LIMIT = 3
 
+#: Largest constraint violation (and phase-1 objective) accepted as feasible.
+FEASIBILITY_TOL = 1e-9
+#: Smallest pivot element considered reliable.
+PIVOT_TOL = 1e-10
+#: Reduced-cost threshold above which a column may enter the basis.
+OPTIMALITY_TOL = 1e-9
+#: Cap on the total pivot count across both phases.
+MAX_ITERATIONS = 50_000
+
 
 class SolveStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
     NUMERICAL_FAILURE = "numerical_failure"
-
-
-@dataclass(frozen=True)
-class ToleranceSettings:
-    """Numeric tolerances for the simplex engine.
-
-    feasibility_tol bounds accepted constraint violation, pivot_tol is the
-    smallest pivot element considered reliable, optimality_tol is the
-    reduced-cost threshold for entering columns, and max_iterations caps the
-    total pivot count across both phases.
-    """
-
-    feasibility_tol: float = 1e-9
-    pivot_tol: float = 1e-10
-    optimality_tol: float = 1e-9
-    max_iterations: int = 50_000
-
-    def __post_init__(self):
-        if self.feasibility_tol <= 0 or self.pivot_tol <= 0 or self.optimality_tol <= 0:
-            raise ValueError("tolerances must be strictly positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
 
 
 def _as_readonly(values, dtype=float) -> np.ndarray:
@@ -156,8 +143,8 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _iterate(T: np.ndarray, basis: np.ndarray, tol: ToleranceSettings,
-             budget: int, lockout_start: int | None = None):
+def _iterate(T: np.ndarray, basis: np.ndarray, budget: int,
+             lockout_start: int | None = None):
     """Run simplex pivots until optimality, unboundedness, or exhaustion.
 
     Returns (outcome, iterations) with outcome one of "optimal", "unbounded",
@@ -171,17 +158,17 @@ def _iterate(T: np.ndarray, basis: np.ndarray, tol: ToleranceSettings,
     barred = np.zeros(T.shape[1] - 1, dtype=bool)
     while True:
         reduced = T[-1, :-1]
-        improving = np.nonzero((reduced > tol.optimality_tol) & ~barred)[0]
+        improving = np.nonzero((reduced > OPTIMALITY_TOL) & ~barred)[0]
         if improving.size == 0:
             return "optimal", iterations
         if iterations >= budget:
             return "iteration_cap", iterations
         col = int(improving[0])  # Bland: lowest improving index
         column = T[:nrows, col]
-        # Entries below pivot_tol relative to the column's own magnitude are
+        # Entries below PIVOT_TOL relative to the column's own magnitude are
         # elimination residue, never real pivots; a column with none above
         # that certifies an unbounded ray.
-        threshold = tol.pivot_tol * float(np.abs(column).max(initial=1.0))
+        threshold = PIVOT_TOL * float(np.abs(column).max(initial=1.0))
         candidates = np.nonzero(column > threshold)[0]
         if candidates.size == 0:
             return "unbounded", iterations
@@ -215,19 +202,16 @@ def _max_violation(lp: LinearProgram, x: np.ndarray) -> float:
     return max(worst, bound_gap)
 
 
-def solve_lp(lp: LinearProgram, tol: ToleranceSettings | None = None) -> LpSolution:
+def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve a LinearProgram with the two-phase primal simplex.
 
-    The solution is a pure function of the inputs: identical programs and
-    tolerances produce bit-identical results. A NUMERICAL_FAILURE status
+    The solution is a pure function of the program: identical programs
+    produce bit-identical results. A NUMERICAL_FAILURE status
     means the engine could not certify any other outcome (iteration cap,
     persistent sub-tolerance pivots, or a final point that fails the
     feasibility check); callers must surface it rather than substitute a
     value.
     """
-    if tol is None:
-        tol = ToleranceSettings()
-
     n = lp.num_variables
     m = lp.num_constraints
     lb = lp.variable_lower_bounds
@@ -273,20 +257,20 @@ def solve_lp(lp: LinearProgram, tol: ToleranceSettings | None = None) -> LpSolut
         phase1 = np.zeros(total)
         phase1[art_start:] = -1.0
         _install_objective(T, basis, phase1)
-        outcome, used = _iterate(T, basis, tol, tol.max_iterations,
+        outcome, used = _iterate(T, basis, MAX_ITERATIONS,
                                  lockout_start=art_start)
         iterations += used
         if outcome != "optimal":
             # Phase 1 is bounded by construction, so anything else is numeric.
             return LpSolution(SolveStatus.NUMERICAL_FAILURE, iterations=iterations)
-        if T[-1, -1] > tol.feasibility_tol:
+        if T[-1, -1] > FEASIBILITY_TOL:
             return LpSolution(SolveStatus.INFEASIBLE, iterations=iterations)
 
         keep = np.ones(m, dtype=bool)
         for i in range(m):
             if basis[i] >= art_start:
                 row = T[i, :art_start]
-                pivots = np.nonzero(np.abs(row) > tol.pivot_tol)[0]
+                pivots = np.nonzero(np.abs(row) > PIVOT_TOL)[0]
                 if pivots.size:
                     _pivot(T, basis, i, int(pivots[0]))
                 else:
@@ -300,7 +284,7 @@ def solve_lp(lp: LinearProgram, tol: ToleranceSettings | None = None) -> LpSolut
     phase2 = np.zeros(T.shape[1] - 1)
     phase2[:n] = lp.objective
     _install_objective(T, basis, phase2)
-    outcome, used = _iterate(T, basis, tol, tol.max_iterations - iterations)
+    outcome, used = _iterate(T, basis, MAX_ITERATIONS - iterations)
     iterations += used
     if outcome == "unbounded":
         return LpSolution(SolveStatus.UNBOUNDED, iterations=iterations)
@@ -310,7 +294,7 @@ def solve_lp(lp: LinearProgram, tol: ToleranceSettings | None = None) -> LpSolut
     shifted = np.zeros(T.shape[1] - 1)
     shifted[basis] = T[:m, -1]
     x = lb + shifted[:n]
-    if _max_violation(lp, x) > tol.feasibility_tol:
+    if _max_violation(lp, x) > FEASIBILITY_TOL:
         return LpSolution(SolveStatus.NUMERICAL_FAILURE, iterations=iterations)
     return LpSolution(
         SolveStatus.OPTIMAL,

@@ -42,7 +42,6 @@ from .lp_core import (
     LinearProgram,
     LpSolution,
     SolveStatus,
-    ToleranceSettings,
     solve_lp,
 )
 
@@ -133,30 +132,37 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs shared by every model solve.
+    """Settings shared by every model solve.
 
     epsilon is the strictly positive lower bound applied to every multiplier
-    in the (normalized) LPs. stage_priority picks which stage efficiency is
+    in the normalized LPs. stage_priority picks which stage efficiency is
     maximized when decomposing the relational optimum; the default maximizes
-    stage 2 first.
+    stage 2 first. A StagePriority value ("first" or "second") is converted
+    to the member.
     """
 
     epsilon: float = 1e-6
-    normalize_columns: bool = True
     stage_priority: StagePriority = StagePriority.SECOND_STAGE
-    tolerances: ToleranceSettings = ToleranceSettings()
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise ConfigurationError(f"epsilon must be in (0, 1), got {self.epsilon}")
+        try:
+            priority = StagePriority(self.stage_priority)
+        except ValueError:
+            raise ConfigurationError(
+                f"stage_priority must be one of "
+                f"{[p.value for p in StagePriority]}, got {self.stage_priority!r}"
+            ) from None
+        object.__setattr__(self, "stage_priority", priority)
 
 
 @dataclass(frozen=True, eq=False)
 class Multipliers:
     """Optimal weights of a solve: u on inputs, w on intermediates, v on
     outputs. Slots a model does not use are None. Values refer to the
-    column-normalized problem when normalization is on, and are generally
-    not unique; scores are the contract, weights are for transparency only.
+    column-normalized problem and are generally not unique; scores are
+    the contract, weights are for transparency only.
     """
 
     u: np.ndarray | None = None
@@ -192,9 +198,7 @@ class EfficiencyRecord:
                 )
 
 
-def _normalized_matrices(data: Dataset, cfg: SolverConfig):
-    if not cfg.normalize_columns:
-        return data.X, data.Z, data.Y
+def _normalized_matrices(data: Dataset):
     return (data.X / data.X.max(axis=0),
             data.Z / data.Z.max(axis=0),
             data.Y / data.Y.max(axis=0))
@@ -209,22 +213,21 @@ def _check_index(data: Dataset, k: int) -> int:
 
 def _solve_or_raise(lp: LinearProgram, cfg: SolverConfig, context: str,
                     infeasible_exc=None) -> LpSolution:
-    solution = solve_lp(lp, cfg.tolerances)
+    solution = solve_lp(lp)
     if solution.status is SolveStatus.OPTIMAL:
         return solution
     if solution.status is SolveStatus.INFEASIBLE:
         if infeasible_exc is not None:
             raise infeasible_exc
-        data_kind = "normalized data" if cfg.normalize_columns else "data"
         raise ConfigurationError(
             f"{context}: LP infeasible; epsilon={cfg.epsilon} is too large "
-            f"for the {data_kind}"
+            f"for the normalized data"
         )
     raise SolverFailureError(f"{context}: solver returned {solution.status.value}")
 
 
 def _clamp_score(value: float, context: str) -> float:
-    if value > 1.0 + _SCORE_EXCESS_TOL or value <= 0.0:
+    if not 0.0 < value <= 1.0 + _SCORE_EXCESS_TOL:
         raise SolverFailureError(f"{context}: efficiency {value} is outside (0, 1]")
     return min(float(value), 1.0)
 
@@ -310,7 +313,7 @@ def _ccr_record(data: Dataset, k: int, cfg: SolverConfig, inputs: str,
     """CCR record of DMU k; inputs and outputs name the two matrices by
     their Multipliers slot: "u" (X), "w" (Z) or "v" (Y)."""
     k = _check_index(data, k)
-    by_slot = dict(zip("uwv", _normalized_matrices(data, cfg)))
+    by_slot = dict(zip("uwv", _normalized_matrices(data)))
     lp = _ccr_lp(by_slot[inputs], by_slot[outputs], k, cfg.epsilon)
     context = f"CCR model for DMU {data.dmu_ids[k]}"
     sol = _solve_or_raise(lp, cfg, context)
@@ -373,7 +376,7 @@ def solve_relational_overall(data: Dataset, k: int,
     """
     cfg = cfg or SolverConfig()
     k = _check_index(data, k)
-    Xn, Zn, Yn = _normalized_matrices(data, cfg)
+    Xn, Zn, Yn = _normalized_matrices(data)
     lp = _relational_lp(Xn, Zn, Yn, k, cfg.epsilon)
     context = f"relational model for DMU {data.dmu_ids[k]}"
     sol = _solve_or_raise(lp, cfg, context)
@@ -391,8 +394,8 @@ def decompose_efficiency(overall: float, fixed_stage: float) -> float:
     """
     if not 0.0 < fixed_stage <= 1.0:
         raise DecompositionError(f"fixed stage score {fixed_stage} is outside (0, 1]")
-    if overall <= 0.0:
-        raise DecompositionError(f"overall score {overall} must be positive")
+    if not (np.isfinite(overall) and overall > 0.0):
+        raise DecompositionError(f"overall score {overall} must be finite and positive")
     if overall - fixed_stage > QUOTIENT_EXCESS_TOL:
         raise DecompositionError(
             f"overall {overall} exceeds stage score {fixed_stage}; "
@@ -402,9 +405,9 @@ def decompose_efficiency(overall: float, fixed_stage: float) -> float:
 
 
 def solve_stage_priority(data: Dataset, k: int, overall: float,
-                         priority: StagePriority,
                          cfg: SolverConfig | None = None) -> EfficiencyRecord:
-    """Split a relational overall score into stage scores, favoring one stage.
+    """Split a relational overall score into stage scores, favoring the
+    stage cfg.stage_priority names.
 
     The relational optimum usually admits several multiplier sets and hence
     several stage splits. With priority FIRST_STAGE the LP maximizes the
@@ -418,9 +421,9 @@ def solve_stage_priority(data: Dataset, k: int, overall: float,
     cfg = cfg or SolverConfig()
     k = _check_index(data, k)
     overall = _clamp_score(float(overall), f"pinned overall for DMU {data.dmu_ids[k]}")
-    Xn, Zn, Yn = _normalized_matrices(data, cfg)
+    Xn, Zn, Yn = _normalized_matrices(data)
 
-    priority = StagePriority(priority)
+    priority = cfg.stage_priority
     lp = _relational_lp(Xn, Zn, Yn, k, cfg.epsilon,
                         pinned_overall=overall, maximize_stage=priority)
     dmu = data.dmu_ids[k]
@@ -463,9 +466,7 @@ def run_full_analysis(data: Dataset, cfg: SolverConfig | None = None):
     for k, dmu_id in enumerate(data.dmu_ids):
         try:
             overall = solve_relational_overall(data, k, cfg)
-            relational.append(
-                solve_stage_priority(data, k, overall, cfg.stage_priority, cfg)
-            )
+            relational.append(solve_stage_priority(data, k, overall, cfg))
             ccr.append(solve_ccr(data, k, cfg))
         except DmuSolveError:
             raise

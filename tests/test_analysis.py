@@ -76,6 +76,11 @@ class TestDenseRank:
         with pytest.raises(ValueError, match="tie_tol"):
             dense_rank([1.0], tie_tol=-1e-9)
 
+    @pytest.mark.parametrize("tie_tol", [np.nan, np.inf])
+    def test_rejects_non_finite_tol(self, tie_tol):
+        with pytest.raises(ValueError, match="tie_tol"):
+            dense_rank([1.0, 0.5], tie_tol=tie_tol)
+
 
 class TestSpearman:
     def test_identity_is_exactly_one(self):
@@ -133,6 +138,12 @@ class TestSpearman:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="integer"):
                 spearman_rank_correlation([1, np.nan, 3], [1, 2, 3])
+
+    def test_rank_beyond_int64_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="integer"):
+                spearman_rank_correlation([1, 1e300, 3], [1, 2, 3])
 
     def test_too_short(self):
         with pytest.raises(ValueError, match="at least 2"):

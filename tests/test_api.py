@@ -1,6 +1,8 @@
 """The package root exports exactly the names that the README's "Library
-use" section lists, one bullet per name."""
+use" section lists, one bullet per name, and the README names every
+SolverConfig field."""
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -21,3 +23,12 @@ def test_root_exports_exactly_the_documented_names():
     namespace = {}
     exec("from netdea import *", namespace)
     assert [name for name in documented if name not in namespace] == []
+
+
+def test_readme_lists_the_solver_config_fields():
+    text = README.read_text(encoding="utf-8")
+    listed = re.search(r"`SolverConfig` holds the solver settings \(([^)]*)\)",
+                       text).group(1)
+    assert re.findall(r"`(\w+)`", listed) == [
+        field.name for field in dataclasses.fields(netdea.SolverConfig)
+    ]

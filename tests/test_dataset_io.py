@@ -23,7 +23,7 @@ from netdea.models import ModelKind
 MINIMAL = "id,name,x1,z1,y1\nA,Alpha,3,2,6\nB,Beta,4,5,1\n"
 
 
-def small_report():
+def small_report(cfg=None):
     relational = [
         EfficiencyRecord("A", ModelKind.RELATIONAL_TWO_STAGE,
                          overall=0.4973, stage1=0.4973, stage2=1.0),
@@ -34,7 +34,7 @@ def small_report():
         EfficiencyRecord("A", ModelKind.CCR, overall=1.0),
         EfficiencyRecord("B", ModelKind.CCR, overall=0.4067),
     ]
-    return build_report(relational, ccr, SolverConfig())
+    return build_report(relational, ccr, cfg or SolverConfig())
 
 
 class TestParse:
@@ -114,6 +114,13 @@ class TestParse:
         with pytest.raises(SchemaError, match="repeated") as excinfo:
             parse_dataset(header + "\nA,1,2,3,4\nB,5,6,7,8\n")
         assert (excinfo.value.row, excinfo.value.column) == (1, 3)
+
+    @pytest.mark.parametrize("header,message", [("id,x1,x1,z1,y1", "repeated"),
+                                                ("id,x1,q1,z1,y1", "unrecognized")])
+    def test_header_error_row_counts_leading_blank_lines(self, header, message):
+        with pytest.raises(SchemaError, match=message) as excinfo:
+            parse_dataset("\n" + header + "\nA,1,2,3,4\nB,5,6,7,8\n")
+        assert (excinfo.value.row, excinfo.value.column) == (2, 3)
 
 
 class TestBundledDataset:
@@ -204,6 +211,11 @@ class TestJsonFormat:
         payload = json.loads(render_report(report, "json"))
         assert payload["relational"][1]["stage2"] == 0.17277
         assert payload["ccr"][1]["score"] == 0.4067
+
+    def test_stage_priority_given_as_value(self):
+        report = small_report(SolverConfig(stage_priority="first"))
+        payload = json.loads(render_report(report, "json"))
+        assert payload["config"]["stage_priority"] == "first"
 
     def test_sections_respected(self):
         payload = json.loads(render_report(small_report(), "json",

@@ -6,18 +6,17 @@ import pytest
 
 from netdea import (
     LinearProgram,
-    SolverConfig,
     StagePriority,
     bundled_dataset_path,
     load_dataset,
     solve_lp,
 )
+from netdea import lp_core
 from netdea.lp_core import (
     EQUAL,
     GREATER_EQUAL,
     LESS_EQUAL,
     SolveStatus,
-    ToleranceSettings,
     _max_violation,
 )
 from netdea.models import _ccr_lp, _normalized_matrices, _relational_lp
@@ -61,12 +60,6 @@ class TestValidation:
             problem.objective[0] = 5.0
         with pytest.raises(ValueError):
             problem.constraint_matrix[0, 0] = 5.0
-
-    def test_tolerances_validated(self):
-        with pytest.raises(ValueError):
-            ToleranceSettings(feasibility_tol=0.0)
-        with pytest.raises(ValueError):
-            ToleranceSettings(max_iterations=0)
 
 
 class TestKnownOptima:
@@ -170,12 +163,12 @@ class TestDegeneracy:
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(4.0, abs=1e-9)
 
-    def test_iteration_budget_respected(self):
-        tight = ToleranceSettings(max_iterations=1)
+    def test_iteration_budget_respected(self, monkeypatch):
+        monkeypatch.setattr(lp_core, "MAX_ITERATIONS", 1)
         problem = lp([1, 1, 1],
                      [[1, 2, 3], [3, 2, 1], [1, 1, 1]],
                      [LESS_EQUAL] * 3, [10, 10, 4])
-        sol = solve_lp(problem, tight)
+        sol = solve_lp(problem)
         assert sol.status in (SolveStatus.OPTIMAL, SolveStatus.NUMERICAL_FAILURE)
         assert sol.iterations <= 2  # phase bound: budget per phase
 
@@ -222,7 +215,7 @@ def reference_max_violation(problem, x):
 
 def _bundled_lps():
     data = load_dataset(bundled_dataset_path())
-    X, Z, Y = _normalized_matrices(data, SolverConfig())
+    X, Z, Y = _normalized_matrices(data)
     for k in range(data.n):
         yield _ccr_lp(X, Y, k, 1e-6)
         yield _relational_lp(X, Z, Y, k, 1e-6)

@@ -81,6 +81,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             SolverConfig(epsilon=1.0)
 
+    def test_stage_priority_value_converted(self):
+        cfg = SolverConfig(stage_priority="first")
+        assert cfg.stage_priority is StagePriority.FIRST_STAGE
+
+    def test_unknown_stage_priority(self):
+        with pytest.raises(ConfigurationError, match="stage_priority"):
+            SolverConfig(stage_priority="third")
+
 
 class TestCcrClosedForm:
     def test_matches_ratio_oracle(self):
@@ -151,10 +159,9 @@ class TestRelationalClosedForm:
         r2 = y / z
         for k in range(data.n):
             overall = solve_relational_overall(data, k, TINY_EPS)
-            first = solve_stage_priority(data, k, overall,
-                                         StagePriority.FIRST_STAGE, TINY_EPS)
-            second = solve_stage_priority(data, k, overall,
-                                          StagePriority.SECOND_STAGE, TINY_EPS)
+            first = solve_stage_priority(data, k, overall, SolverConfig(
+                epsilon=1e-8, stage_priority=StagePriority.FIRST_STAGE))
+            second = solve_stage_priority(data, k, overall, TINY_EPS)
             assert first.stage1 == pytest.approx(r1[k] / r1.max(), abs=1e-6)
             assert second.stage2 == pytest.approx(r2[k] / r2.max(), abs=1e-6)
             for record in (first, second):
@@ -170,8 +177,7 @@ class TestRelationalClosedForm:
         Yn = table1.Y / table1.Y.max(axis=0)
         k = 2
         overall = solve_relational_overall(table1, k, cfg)
-        record = solve_stage_priority(table1, k, overall,
-                                      StagePriority.SECOND_STAGE, cfg)
+        record = solve_stage_priority(table1, k, overall, cfg)
         mult = record.multipliers
         assert Zn[k] @ mult.w == pytest.approx(1.0, abs=1e-9)
         assert Yn[k] @ mult.v == pytest.approx(record.stage2, abs=1e-9)
@@ -188,8 +194,7 @@ class TestDominance:
             cfg = SolverConfig()
             for k in range(data.n):
                 overall = solve_relational_overall(data, k, cfg)
-                record = solve_stage_priority(data, k, overall,
-                                              cfg.stage_priority, cfg)
+                record = solve_stage_priority(data, k, overall, cfg)
                 ccr = solve_ccr(data, k, cfg=cfg)
                 assert overall <= ccr.overall + 1e-9
                 assert overall <= min(record.stage1, record.stage2) + 1e-9
@@ -200,8 +205,7 @@ class TestDominance:
             data = make_random_dataset(rng, plant_efficient=True)
             overall = solve_relational_overall(data, 0)
             assert overall == pytest.approx(1.0, abs=1e-9)
-            record = solve_stage_priority(data, 0, overall,
-                                          StagePriority.SECOND_STAGE)
+            record = solve_stage_priority(data, 0, overall)
             assert record.stage1 >= 1.0 - 1e-6
             assert record.stage2 >= 1.0 - 1e-6
 
@@ -224,6 +228,8 @@ class TestDecomposeEfficiency:
             decompose_efficiency(0.5, 1.5)
         with pytest.raises(DecompositionError):
             decompose_efficiency(0.0, 0.5)
+        with pytest.raises(DecompositionError):
+            decompose_efficiency(float("nan"), 0.5)
 
 
 class TestErrorPaths:
@@ -233,22 +239,20 @@ class TestErrorPaths:
         k = int(np.argmin((y / x)))  # worst DMU: true overall well below 1
         overall = solve_relational_overall(data, k, TINY_EPS)
         with pytest.raises(DecompositionError, match="not attainable"):
-            solve_stage_priority(data, k, min(1.0, overall + 0.2),
-                                 StagePriority.SECOND_STAGE, TINY_EPS)
+            solve_stage_priority(data, k, min(1.0, overall + 0.2), TINY_EPS)
+
+    def test_nan_overall_rejected(self, table1):
+        with pytest.raises(SolverFailureError, match="outside"):
+            solve_stage_priority(table1, 0, float("nan"))
 
     def test_oversized_epsilon_is_a_configuration_error(self, table1):
         with pytest.raises(ConfigurationError, match="epsilon"):
             solve_ccr(table1, 0, cfg=SolverConfig(epsilon=0.5))
 
-    @pytest.mark.parametrize("normalize,expected", [
-        (True, "for the normalized data"), (False, "for the data"),
-    ])
-    def test_oversized_epsilon_message_names_the_scaling(self, table1,
-                                                         normalize, expected):
-        cfg = SolverConfig(epsilon=0.5, normalize_columns=normalize)
+    def test_oversized_epsilon_message_names_the_scaling(self, table1):
         with pytest.raises(ConfigurationError) as excinfo:
-            solve_ccr(table1, 0, cfg=cfg)
-        assert str(excinfo.value).endswith(expected)
+            solve_ccr(table1, 0, cfg=SolverConfig(epsilon=0.5))
+        assert str(excinfo.value).endswith("for the normalized data")
 
     def test_run_full_analysis_names_failing_dmu(self, table1):
         with pytest.raises(DmuSolveError) as excinfo:
@@ -322,20 +326,22 @@ def _assert_same_lp(lp, reference):
 class TestCcrLpReference:
     PAIRS = [("x", "y"), ("x", "z"), ("z", "y")]
 
-    def _check(self, data, cfg):
-        Xn, Zn, Yn = _normalized_matrices(data, cfg)
-        by_role = {"x": Xn, "z": Zn, "y": Yn}
+    def _check(self, X, Z, Y):
+        by_role = {"x": X, "z": Z, "y": Y}
         for inputs_from, outputs_from in self.PAIRS:
             inputs, outputs = by_role[inputs_from], by_role[outputs_from]
-            for k in range(data.n):
-                _assert_same_lp(_ccr_lp(inputs, outputs, k, cfg.epsilon),
-                                reference_ccr_lp(inputs, outputs, k, cfg.epsilon))
+            for k in range(X.shape[0]):
+                _assert_same_lp(_ccr_lp(inputs, outputs, k, 1e-6),
+                                reference_ccr_lp(inputs, outputs, k, 1e-6))
 
     def test_random_datasets(self, make_random_dataset):
         rng = np.random.default_rng(31)
         for _ in range(40):
-            self._check(make_random_dataset(rng), SolverConfig())
+            self._check(*_normalized_matrices(make_random_dataset(rng)))
 
     @pytest.mark.parametrize("normalize", [True, False])
     def test_bundled_data(self, table1, normalize):
-        self._check(table1, SolverConfig(normalize_columns=normalize))
+        if normalize:
+            self._check(*_normalized_matrices(table1))
+        else:
+            self._check(table1.X, table1.Z, table1.Y)

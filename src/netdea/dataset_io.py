@@ -98,8 +98,12 @@ def parse_dataset(text: str) -> Dataset:
     coordinates), and SchemaError for structural problems such as an
     unknown or repeated header, a missing role class or duplicate DMU ids.
     """
-    rows = [(line, row) for line, row in
-            enumerate(csv.reader(io.StringIO(text)), start=1) if row]
+    reader = csv.reader(io.StringIO(text))
+    rows, lines_read = [], 0
+    for row in reader:  # a quoted newline spans lines: keep the first
+        if row:
+            rows.append((lines_read + 1, row))
+        lines_read = reader.line_num
     if not rows:
         raise SchemaError("empty input: missing header row")
     header_line, header = rows[0]

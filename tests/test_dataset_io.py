@@ -72,6 +72,16 @@ class TestParse:
         err = excinfo.value
         assert (err.row, err.column, err.role) == (3, 4, "intermediate")
 
+    @pytest.mark.parametrize("text,row", [
+        ('id,name,x1,z1,y1\nA,"Alpha\nInstitute",3,2,6\nB,Beta,4,x,1\n', 4),
+        ('id,name,x1,z1,y1\nA,"Alpha\nInstitute",3,x,6\nB,Beta,4,5,1\n', 2),
+        ('id,name,x1,z1,y1\nA,Alpha,3,2,6\nB,"Beta,4,x,1\n', 3),
+    ], ids=["after-the-record", "in-the-record", "quote-open-at-end"])
+    def test_row_is_the_line_a_multiline_record_starts_on(self, text, row):
+        with pytest.raises(ParseError) as excinfo:
+            parse_dataset(text)
+        assert excinfo.value.row == row
+
     def test_zero_cell_coordinates(self):
         text = "id,name,x1,z1,y1\nA,Alpha,3,0,6\nB,Beta,4,5,1\n"
         with pytest.raises(ValidationError) as excinfo:

@@ -6,12 +6,14 @@ import pytest
 
 from netdea import (
     LinearProgram,
+    SolverConfig,
     StagePriority,
     bundled_dataset_path,
     load_dataset,
+    run_full_analysis,
     solve_lp,
 )
-from netdea import lp_core
+from netdea import lp_core, models
 from netdea.lp_core import (
     EQUAL,
     GREATER_EQUAL,
@@ -248,3 +250,85 @@ class TestMaxViolationReference:
                 points.append(sol.variable_values)
             for x in points:
                 assert _max_violation(problem, x) == reference_max_violation(problem, x)
+
+
+def reference_pivot(T, basis, row, col):
+    """Whole-tableau update that _pivot replaces. On a column where the
+    normalized pivot row is zero it subtracts only factor * 0.0, so the
+    tests require the same pivots and bit-equal results."""
+    T[row, :] /= T[row, col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row, :])
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+    basis[row] = col
+
+
+def unit_column_checked(kernel):
+    """Wrap a pivot kernel to assert, after every pivot, that each basic
+    column is an exact unit vector (zero in the objective row too): the
+    invariant that lets _pivot skip the pivot row's zero columns."""
+    def pivot(T, basis, row, col):
+        kernel(T, basis, row, col)
+        unit = np.zeros((T.shape[0], basis.size))
+        unit[np.arange(basis.size), np.arange(basis.size)] = 1.0
+        assert np.array_equal(T[:, basis], unit)
+    return pivot
+
+
+def _kernel_cases(make_random_lp):
+    rng = np.random.default_rng(20261018)
+    for _ in range(200):
+        yield make_random_lp(rng, max_vars=6, max_constraints=8)
+    # Zero right-hand sides: every pivot from the origin is degenerate.
+    for _ in range(20):
+        A = rng.integers(-4, 5, size=(6, 4)).astype(float)
+        yield lp(rng.integers(-4, 5, size=4), A,
+                 [LESS_EQUAL, GREATER_EQUAL, EQUAL] * 2, np.zeros(6))
+    # Rows 2 and 3 are multiples of row 1: phase 1 drops both.
+    yield lp([1, 1, 1], [[1, 2, 1], [1, 2, 1], [2, 4, 2], [1, 0, 0]],
+             [EQUAL, EQUAL, EQUAL, LESS_EQUAL], [4, 4, 8, 3])
+    yield lp([1, 1], [[1, -1]], [LESS_EQUAL], [0])  # unbounded
+    yield from _bundled_lps()
+
+
+def _solve_with(monkeypatch, kernel, problem):
+    monkeypatch.setattr(lp_core, "_pivot", kernel)
+    return solve_lp(problem)
+
+
+class TestPivotKernelReference:
+    def test_same_pivots_and_bytes_as_whole_tableau_update(self, monkeypatch,
+                                                            make_random_lp):
+        kernel = unit_column_checked(lp_core._pivot)
+        statuses, senses_seen = set(), set()
+        for problem in _kernel_cases(make_random_lp):
+            senses_seen.update(problem.constraint_senses)
+            got = _solve_with(monkeypatch, kernel, problem)
+            want = _solve_with(monkeypatch, reference_pivot, problem)
+            assert got.status is want.status
+            assert got.iterations == want.iterations
+            assert got.variable_values.tobytes() == want.variable_values.tobytes()
+            assert (np.float64(got.objective_value).tobytes()
+                    == np.float64(want.objective_value).tobytes())
+            statuses.add(got.status)
+        assert senses_seen == {LESS_EQUAL, EQUAL, GREATER_EQUAL}
+        assert statuses == {SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE,
+                            SolveStatus.UNBOUNDED}
+
+    @pytest.mark.parametrize("priority,pivots", [("first", 169), ("second", 159)])
+    def test_bundled_full_analysis_pivot_count(self, monkeypatch, table1,
+                                               priority, pivots):
+        # Pins the pivot path: a kernel change that alters any pivot choice
+        # changes this total.
+        iterations = []
+
+        def counting_solve(problem):
+            solution = solve_lp(problem)
+            iterations.append(solution.iterations)
+            return solution
+
+        monkeypatch.setattr(models, "solve_lp", counting_solve)
+        run_full_analysis(table1, SolverConfig(stage_priority=priority))
+        assert sum(iterations) == pivots

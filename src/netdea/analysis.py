@@ -182,8 +182,7 @@ def _unique_ids(records, label: str) -> tuple:
     return ids
 
 
-def build_report(relational, ccr, cfg: SolverConfig | None = None,
-                 tie_tol: float = DEFAULT_RANK_TIE_TOL) -> AnalysisReport:
+def build_report(relational, ccr, cfg: SolverConfig | None = None) -> AnalysisReport:
     """Assemble ranked tables and rho from per-DMU efficiency records.
 
     Both record lists must cover the same DMU ids (any order); the
@@ -212,10 +211,10 @@ def build_report(relational, ccr, cfg: SolverConfig | None = None,
     ccr_scores = np.array([_score_of(r, "overall") for r in ccr_aligned])
 
     tables = {
-        field: RankTable(rel_ids, scores, dense_rank(scores, tie_tol))
+        field: RankTable(rel_ids, scores, dense_rank(scores))
         for field, scores in columns.items()
     }
-    ccr_table = RankTable(rel_ids, ccr_scores, dense_rank(ccr_scores, tie_tol))
+    ccr_table = RankTable(rel_ids, ccr_scores, dense_rank(ccr_scores))
 
     try:
         rho = spearman_rank_correlation(tables["overall"].ranks, ccr_table.ranks)

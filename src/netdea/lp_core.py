@@ -13,9 +13,10 @@ dense. The programs built by this package have one column per multiplier
 weight, usually a handful, and one row per ratio constraint: a relational
 LP over n DMUs has up to 3n + 2 rows, 302 at n = 100.
 
-Every basic column of the tableau is an exact unit vector (each pivot
-sets its entering column to zeros and a one), so the pivot row is zero in
-the other basic columns and a pivot updates only its nonzero columns.
+Every basic column of the tableau is an exact unit vector (a pivot leaves
+its entering column exact: x / x is 1.0 and x - x * 1.0 is +0.0), so the
+pivot row is zero in the other basic columns and a pivot updates only its
+nonzero columns.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class SolveStatus(enum.Enum):
 
 
 def _as_readonly(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    arr = np.array(values, dtype=dtype, order="C")  # layout changes how A @ x rounds
     arr.setflags(write=False)
     return arr
 
@@ -131,10 +132,8 @@ def _install_objective(T: np.ndarray, basis: np.ndarray, coeffs: np.ndarray) -> 
     # holds the negated objective of the current basic solution.
     T[-1, :-1] = coeffs
     T[-1, -1] = 0.0
-    for i, b in enumerate(basis):
-        coef = T[-1, b]
-        if coef != 0.0:
-            T[-1, :] -= coef * T[i, :]
+    rows = np.nonzero(coeffs[basis])[0]  # subtracted in row order, one at a time
+    T[-1] = np.subtract.reduce(np.vstack([T[-1], coeffs[basis[rows], None] * T[rows]]))
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -144,8 +143,6 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     factors[row] = 0.0
     nz = pivot_row.nonzero()[0]
     T[:, nz] -= factors[:, None] * pivot_row[nz]
-    T[:, col] = 0.0
-    T[row, col] = 1.0
     basis[row] = col
 
 

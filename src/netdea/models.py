@@ -17,14 +17,16 @@ DMU:
 
 Every weight is bounded below by a small epsilon so no factor can be
 ignored. Because epsilon interacts with the scale of the data, each column
-of X, Z, Y is divided by its maximum before the LPs are built (the ratio
-models are units-invariant, so scores are unaffected); reported multipliers
-refer to the normalized problem.
+of X, Z, Y is divided by its maximum (the ratio models are units-invariant,
+so scores are unaffected); reported multipliers refer to the normalized
+problem. This normalization and the 3n ratio rows the LPs share are built
+once per dataset, on its first solve, not once per LP.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +131,10 @@ class Dataset:
     def s(self) -> int:
         return self.Y.shape[1]
 
+    @functools.cached_property
+    def _lp_system(self) -> _LpSystem:
+        return _LpSystem(self)
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -198,12 +204,6 @@ class EfficiencyRecord:
                 )
 
 
-def _normalized_matrices(data: Dataset):
-    return (data.X / data.X.max(axis=0),
-            data.Z / data.Z.max(axis=0),
-            data.Y / data.Y.max(axis=0))
-
-
 def _check_index(data: Dataset, k: int) -> int:
     k = int(k)
     if not 0 <= k < data.n:
@@ -232,80 +232,77 @@ def _clamp_score(value: float, context: str) -> float:
     return min(float(value), 1.0)
 
 
-def _multiplier_lp(objective: np.ndarray, equalities, ratio_rows: np.ndarray,
-                   epsilon: float) -> LinearProgram:
-    """max objective . t  s.t.  row . t = rhs for each (row, rhs) in
-    equalities, then ratio_rows @ t <= 0, and t >= epsilon."""
-    eq_rows, eq_rhs = zip(*equalities)
-    return LinearProgram(
-        objective=objective,
-        constraint_matrix=np.vstack([np.array(eq_rows), ratio_rows]),
-        constraint_senses=(EQUAL,) * len(eq_rows) + (LESS_EQUAL,) * len(ratio_rows),
-        rhs=np.concatenate([eq_rhs, np.zeros(len(ratio_rows))]),
-        variable_lower_bounds=np.full(objective.shape[0], epsilon),
-    )
+#: Ratio families as (input slot, output slot), in row order: the whole
+#: process, the first stage and the second stage. Family (a, b) holds
+#: b_j . t_b - a_j . t_a <= 0 for every DMU j, where the weight slots are
+#: u (on X), w (on Z) and v (on Y).
+_FAMILIES = (("u", "v"), ("u", "w"), ("w", "v"))
 
 
-def _ccr_lp(inputs: np.ndarray, outputs: np.ndarray, k: int, epsilon: float) -> LinearProgram:
-    # Variables [a (input weights) | b (output weights)]:
-    #   max  outputs[k] . b
-    #   s.t. inputs[k] . a = 1
-    #        outputs[j] . b - inputs[j] . a <= 0   for every j
-    #        a, b >= epsilon
-    m, s = inputs.shape[1], outputs.shape[1]
-    return _multiplier_lp(
-        np.concatenate([np.zeros(m), outputs[k]]),
-        [(np.concatenate([inputs[k], np.zeros(s)]), 1.0)],
-        np.hstack([-inputs, outputs]),
-        epsilon,
-    )
+def _slots(families) -> list:
+    return [slot for slot in "uwv" if any(slot in family for family in families)]
 
 
-def _relational_lp(X, Z, Y, k: int, epsilon: float,
-                   pinned_overall: float | None = None,
-                   maximize_stage: StagePriority | None = None) -> LinearProgram:
-    """Relational LP over [u | w | v].
-
-    Without extras this is the overall model: max y_k.v subject to
-    x_k.u = 1 and, for every DMU j, the three constraint families
-
-        y_j . v - x_j . u <= 0   (whole process)
-        z_j . w - x_j . u <= 0   (first stage)
-        y_j . v - z_j . w <= 0   (second stage)
-
-    With pinned_overall set, the overall score is held fixed through
-    y_k.v = E * x_k.u and the requested stage efficiency becomes the
-    objective; maximizing stage 2 swaps the normalization to z_k.w = 1.
+class _LpSystem:
+    """The LP data every model of one Dataset shares, built once: X, Z and Y
+    divided by their column maxima, keyed by weight slot, and the 3n ratio
+    rows of _FAMILIES over the variables [u | w | v], all read-only.
     """
-    n, m = X.shape
-    p, s = Z.shape[1], Y.shape[1]
-    u_pad = np.zeros(m)
-    w_pad = np.zeros(p)
-    v_pad = np.zeros(s)
 
-    if maximize_stage is StagePriority.FIRST_STAGE:
-        objective = np.concatenate([u_pad, Z[k], v_pad])
-    else:
-        objective = np.concatenate([u_pad, w_pad, Y[k]])
-    if maximize_stage is StagePriority.SECOND_STAGE:
-        normalization = np.concatenate([u_pad, Z[k], v_pad])
-    else:
-        normalization = np.concatenate([X[k], w_pad, v_pad])
+    def __init__(self, data: Dataset):
+        mats = (data.X, data.Z, data.Y)
+        self.normalized = {slot: mat / mat.max(axis=0) for slot, mat in zip("uwv", mats)}
+        edges = np.cumsum([0] + [mat.shape[1] for mat in mats])
+        self.columns = {slot: slice(*edges[i:i + 2]) for i, slot in enumerate("uwv")}
+        n = data.n
+        self.ratio_rows = np.zeros((3 * n, edges[-1]))
+        for i, (inputs, outputs) in enumerate(_FAMILIES):
+            block = self.ratio_rows[i * n:(i + 1) * n]
+            block[:, self.columns[inputs]] = -self.normalized[inputs]
+            block[:, self.columns[outputs]] = self.normalized[outputs]
+        for arr in (*self.normalized.values(), self.ratio_rows):
+            arr.setflags(write=False)
 
-    equalities = [(normalization, 1.0)]
-    if pinned_overall is not None:
-        equalities.append((np.concatenate([-pinned_overall * X[k], w_pad, Y[k]]), 0.0))
+    def lp(self, k: int, families, objective: str, normalization: str,
+           epsilon: float, pinned_overall: float | None = None) -> LinearProgram:
+        """DMU k's LP over the weights t of the slots families use, in
+        [u | w | v] order: maximize DMU k's weighted sum in the objective
+        slot subject to its weighted sum in the normalization slot = 1,
+        y_k.v = pinned_overall * x_k.u when pinned, the ratio rows of
+        families <= 0, and t >= epsilon.
+        """
+        norm, cols = self.normalized, self.columns
+        top = np.zeros((2 if pinned_overall is None else 3, self.ratio_rows.shape[1]))
+        top[0, cols[objective]] = norm[objective][k]
+        top[1, cols[normalization]] = norm[normalization][k]
+        if pinned_overall is not None:
+            top[2, cols["u"]] = -pinned_overall * norm["u"][k]
+            top[2, cols["v"]] = norm["v"][k]
+        n, eqs = len(norm["u"]), len(top) - 1
+        blocks = [self.ratio_rows[i * n:(i + 1) * n] for i in map(_FAMILIES.index, families)]
+        used = np.r_[tuple(cols[slot] for slot in _slots(families))]
+        matrix = np.vstack([top[1:], *blocks])[:, used]
+        return LinearProgram(
+            objective=top[0, used],
+            constraint_matrix=matrix,
+            constraint_senses=(EQUAL,) * eqs + (LESS_EQUAL,) * (len(matrix) - eqs),
+            rhs=np.r_[1.0, np.zeros(len(matrix) - 1)],
+            variable_lower_bounds=np.full(len(used), epsilon),
+        )
 
-    families = np.vstack([
-        np.hstack([-X, np.zeros((n, p)), Y]),
-        np.hstack([-X, Z, np.zeros((n, s))]),
-        np.hstack([np.zeros((n, m)), -Z, Y]),
-    ])
-    return _multiplier_lp(objective, equalities, families, epsilon)
 
-
-def _split_multipliers(values: np.ndarray, m: int, p: int) -> Multipliers:
-    return Multipliers(u=values[:m], w=values[m:m + p], v=values[m + p:])
+def _solve(data: Dataset, k: int, cfg: SolverConfig, context: str, families,
+           objective: str, normalization: str, pinned_overall: float | None = None,
+           infeasible_exc=None) -> tuple:
+    """Solve DMU k's LP that _LpSystem.lp builds from these arguments.
+    Returns its clamped optimum and its weights by slot."""
+    system = data._lp_system
+    lp = system.lp(k, families, objective, normalization, cfg.epsilon, pinned_overall)
+    sol = _solve_or_raise(lp, cfg, context, infeasible_exc)
+    slots = _slots(families)
+    cuts = np.cumsum([system.normalized[slot].shape[1] for slot in slots])[:-1]
+    weights = dict(zip(slots, np.split(sol.variable_values, cuts)))
+    return _clamp_score(sol.objective_value, context), Multipliers(**weights)
 
 
 def _ccr_record(data: Dataset, k: int, cfg: SolverConfig, inputs: str,
@@ -313,19 +310,11 @@ def _ccr_record(data: Dataset, k: int, cfg: SolverConfig, inputs: str,
     """CCR record of DMU k; inputs and outputs name the two matrices by
     their Multipliers slot: "u" (X), "w" (Z) or "v" (Y)."""
     k = _check_index(data, k)
-    by_slot = dict(zip("uwv", _normalized_matrices(data)))
-    lp = _ccr_lp(by_slot[inputs], by_slot[outputs], k, cfg.epsilon)
     context = f"CCR model for DMU {data.dmu_ids[k]}"
-    sol = _solve_or_raise(lp, cfg, context)
-    split = by_slot[inputs].shape[1]
-    weights = {inputs: sol.variable_values[:split],
-               outputs: sol.variable_values[split:]}
-    return EfficiencyRecord(
-        dmu_id=data.dmu_ids[k],
-        model_kind=ModelKind.CCR,
-        overall=_clamp_score(sol.objective_value, context),
-        multipliers=Multipliers(**weights),
-    )
+    score, weights = _solve(data, k, cfg, context, ((inputs, outputs),),
+                            objective=outputs, normalization=inputs)
+    return EfficiencyRecord(dmu_id=data.dmu_ids[k], model_kind=ModelKind.CCR,
+                            overall=score, multipliers=weights)
 
 
 def solve_ccr(data: Dataset, k: int,
@@ -376,11 +365,8 @@ def solve_relational_overall(data: Dataset, k: int,
     """
     cfg = cfg or SolverConfig()
     k = _check_index(data, k)
-    Xn, Zn, Yn = _normalized_matrices(data)
-    lp = _relational_lp(Xn, Zn, Yn, k, cfg.epsilon)
     context = f"relational model for DMU {data.dmu_ids[k]}"
-    sol = _solve_or_raise(lp, cfg, context)
-    return _clamp_score(sol.objective_value, context)
+    return _solve(data, k, cfg, context, _FAMILIES, objective="v", normalization="u")[0]
 
 
 def decompose_efficiency(overall: float, fixed_stage: float) -> float:
@@ -421,33 +407,26 @@ def solve_stage_priority(data: Dataset, k: int, overall: float,
     cfg = cfg or SolverConfig()
     k = _check_index(data, k)
     overall = _clamp_score(float(overall), f"pinned overall for DMU {data.dmu_ids[k]}")
-    Xn, Zn, Yn = _normalized_matrices(data)
-
-    priority = cfg.stage_priority
-    lp = _relational_lp(Xn, Zn, Yn, k, cfg.epsilon,
-                        pinned_overall=overall, maximize_stage=priority)
+    first = cfg.stage_priority is StagePriority.FIRST_STAGE
     dmu = data.dmu_ids[k]
-    context = f"stage-priority model for DMU {dmu}"
-    sol = _solve_or_raise(
-        lp, cfg, context,
+    fixed, weights = _solve(
+        data, k, cfg, f"stage-priority model for DMU {dmu}", _FAMILIES,
+        objective="w" if first else "v", normalization="u" if first else "w",
+        pinned_overall=overall,
         infeasible_exc=DecompositionError(
             f"DMU {dmu}: overall score {overall} is not attainable under the "
             f"pinning constraint; it is stale or belongs to another configuration"
         ),
     )
-    fixed = _clamp_score(sol.objective_value, context)
     free = decompose_efficiency(overall, fixed)
-    if priority is StagePriority.FIRST_STAGE:
-        stage1, stage2 = fixed, free
-    else:
-        stage1, stage2 = free, fixed
+    stage1, stage2 = (fixed, free) if first else (free, fixed)
     return EfficiencyRecord(
         dmu_id=dmu,
         model_kind=ModelKind.RELATIONAL_TWO_STAGE,
         overall=overall,
         stage1=stage1,
         stage2=stage2,
-        multipliers=_split_multipliers(sol.variable_values, data.m, data.p),
+        multipliers=weights,
     )
 
 

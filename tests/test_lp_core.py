@@ -7,11 +7,11 @@ import pytest
 from netdea import (
     LinearProgram,
     SolverConfig,
-    StagePriority,
     bundled_dataset_path,
     load_dataset,
     run_full_analysis,
     solve_lp,
+    solve_relational_overall,
 )
 from netdea import lp_core, models
 from netdea.lp_core import (
@@ -21,7 +21,7 @@ from netdea.lp_core import (
     SolveStatus,
     _max_violation,
 )
-from netdea.models import _ccr_lp, _normalized_matrices, _relational_lp
+from netdea.models import _FAMILIES
 
 
 def lp(c, A, senses, b, lb=None):
@@ -216,13 +216,38 @@ def reference_max_violation(problem, x):
 
 
 def _bundled_lps():
+    """Every LP run_full_analysis solves on the bundled set, both priorities
+    included, plus a SECOND_STAGE split pinned at 0.5 for each DMU."""
     data = load_dataset(bundled_dataset_path())
-    X, Z, Y = _normalized_matrices(data)
+    system = data._lp_system
     for k in range(data.n):
-        yield _ccr_lp(X, Y, k, 1e-6)
-        yield _relational_lp(X, Z, Y, k, 1e-6)
-        yield _relational_lp(X, Z, Y, k, 1e-6, pinned_overall=0.5,
-                             maximize_stage=StagePriority.SECOND_STAGE)
+        overall = solve_relational_overall(data, k)
+        yield system.lp(k, (("u", "v"),), "v", "u", 1e-6)
+        yield system.lp(k, _FAMILIES, "v", "u", 1e-6)
+        yield system.lp(k, _FAMILIES, "v", "w", 1e-6, pinned_overall=0.5)
+        yield system.lp(k, _FAMILIES, "w", "u", 1e-6, pinned_overall=overall)
+        yield system.lp(k, _FAMILIES, "v", "w", 1e-6, pinned_overall=overall)
+
+
+def assert_same_solve(got, want):
+    assert got.status is want.status
+    assert got.iterations == want.iterations
+    assert got.variable_values.tobytes() == want.variable_values.tobytes()
+    assert (np.float64(got.objective_value).tobytes()
+            == np.float64(want.objective_value).tobytes())
+
+
+class TestMatrixLayout:
+    def test_solution_does_not_depend_on_matrix_layout(self):
+        # The layout of a copy must not change how the solver rounds A @ lb.
+        for problem in _bundled_lps():
+            A = problem.constraint_matrix
+            want = solve_lp(problem)
+            for matrix in (np.asfortranarray(A), np.repeat(A, 2, axis=1)[:, ::2]):
+                copy = LinearProgram(problem.objective, matrix, problem.constraint_senses,
+                                     problem.rhs, problem.variable_lower_bounds)
+                assert copy.constraint_matrix.flags.c_contiguous
+                assert_same_solve(solve_lp(copy), want)
 
 
 class TestMaxViolationReference:
@@ -298,6 +323,17 @@ def _solve_with(monkeypatch, kernel, problem):
     return solve_lp(problem)
 
 
+def reference_install_objective(T, basis, coeffs):
+    """Row loop that _install_objective replaces with one reduction over
+    the same rows in the same order; the tests require bit-equal tableaus."""
+    T[-1, :-1] = coeffs
+    T[-1, -1] = 0.0
+    for i, b in enumerate(basis):
+        coef = T[-1, b]
+        if coef != 0.0:
+            T[-1, :] -= coef * T[i, :]
+
+
 class TestPivotKernelReference:
     def test_same_pivots_and_bytes_as_whole_tableau_update(self, monkeypatch,
                                                             make_random_lp):
@@ -307,15 +343,29 @@ class TestPivotKernelReference:
             senses_seen.update(problem.constraint_senses)
             got = _solve_with(monkeypatch, kernel, problem)
             want = _solve_with(monkeypatch, reference_pivot, problem)
-            assert got.status is want.status
-            assert got.iterations == want.iterations
-            assert got.variable_values.tobytes() == want.variable_values.tobytes()
-            assert (np.float64(got.objective_value).tobytes()
-                    == np.float64(want.objective_value).tobytes())
+            assert_same_solve(got, want)
             statuses.add(got.status)
         assert senses_seen == {LESS_EQUAL, EQUAL, GREATER_EQUAL}
         assert statuses == {SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE,
                             SolveStatus.UNBOUNDED}
+
+    def test_same_bytes_as_row_loop_objective(self, monkeypatch, make_random_lp):
+        # Each install must leave the tableau byte-equal to the row loop's,
+        # so every later pivot, and the solve, is the same too.
+        install = lp_core._install_objective
+        rows_eliminated = []
+
+        def checked(T, basis, coeffs):
+            want = T.copy()
+            reference_install_objective(want, basis, coeffs)
+            install(T, basis, coeffs)
+            assert T.tobytes() == want.tobytes()
+            rows_eliminated.append(np.count_nonzero(coeffs[basis]))
+
+        monkeypatch.setattr(lp_core, "_install_objective", checked)
+        for problem in _kernel_cases(make_random_lp):
+            solve_lp(problem)
+        assert max(rows_eliminated) > 2
 
     @pytest.mark.parametrize("priority,pivots", [("first", 169), ("second", 159)])
     def test_bundled_full_analysis_pivot_count(self, monkeypatch, table1,

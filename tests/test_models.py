@@ -16,12 +16,16 @@ from netdea import (
     EfficiencyRecord,
     SolverConfig,
     StagePriority,
+    bundled_dataset_path,
+    load_dataset,
     run_full_analysis,
     solve_ccr,
+    solve_lp,
     solve_relational_overall,
     solve_stage_independent,
     solve_stage_priority,
 )
+from netdea import models
 from netdea.errors import (
     ConfigurationError,
     DecompositionError,
@@ -30,12 +34,7 @@ from netdea.errors import (
     ValidationError,
 )
 from netdea.lp_core import EQUAL, LESS_EQUAL
-from netdea.models import (
-    ModelKind,
-    _ccr_lp,
-    _normalized_matrices,
-    decompose_efficiency,
-)
+from netdea.models import ModelKind, _FAMILIES, decompose_efficiency
 
 #: epsilon small enough that scores match the epsilon-free closed forms
 TINY_EPS = SolverConfig(epsilon=1e-8)
@@ -297,9 +296,16 @@ class TestRunFullAnalysis:
             assert a.stage1 >= b.stage1 - 1e-7  # first priority favors stage 1
 
 
+def reference_normalized_matrices(data):
+    """Per-LP normalization that the per-dataset LP system replaces."""
+    return (data.X / data.X.max(axis=0),
+            data.Z / data.Z.max(axis=0),
+            data.Y / data.Y.max(axis=0))
+
+
 def reference_ccr_lp(inputs, outputs, k, epsilon):
-    """Row-by-row CCR construction that _ccr_lp replaces with one hstack;
-    the tests require the two to agree bit for bit, so pivots match."""
+    """Row-by-row CCR construction that the LP builder replaces; the tests
+    require the two to agree bit for bit, so pivots match."""
     n, m = inputs.shape
     s = outputs.shape[1]
     objective = np.concatenate([np.zeros(m), outputs[k]])
@@ -314,34 +320,117 @@ def reference_ccr_lp(inputs, outputs, k, epsilon):
             np.full(m + s, epsilon))
 
 
+def reference_relational_lp(X, Z, Y, k, epsilon, pinned_overall=None,
+                            maximize_stage=None):
+    """The relational builder, with its mode flags, that the LP builder
+    replaces. Without extras: the overall LP. With pinned_overall, the
+    split favoring maximize_stage."""
+    n, m = X.shape
+    p, s = Z.shape[1], Y.shape[1]
+    u_pad, w_pad, v_pad = np.zeros(m), np.zeros(p), np.zeros(s)
+    if maximize_stage is StagePriority.FIRST_STAGE:
+        objective = np.concatenate([u_pad, Z[k], v_pad])
+    else:
+        objective = np.concatenate([u_pad, w_pad, Y[k]])
+    if maximize_stage is StagePriority.SECOND_STAGE:
+        normalization = np.concatenate([u_pad, Z[k], v_pad])
+    else:
+        normalization = np.concatenate([X[k], w_pad, v_pad])
+    rows, rhs = [normalization], [1.0]
+    if pinned_overall is not None:
+        rows.append(np.concatenate([-pinned_overall * X[k], w_pad, Y[k]]))
+        rhs.append(0.0)
+    families = np.vstack([
+        np.hstack([-X, np.zeros((n, p)), Y]),
+        np.hstack([-X, Z, np.zeros((n, s))]),
+        np.hstack([np.zeros((n, m)), -Z, Y]),
+    ])
+    return (objective, np.vstack([np.array(rows), families]),
+            (EQUAL,) * len(rows) + (LESS_EQUAL,) * (3 * n),
+            np.concatenate([rhs, np.zeros(3 * n)]), np.full(m + p + s, epsilon))
+
+
 def _assert_same_lp(lp, reference):
+    # Bytes, not values: -0.0 == 0.0, yet the two can round differently.
     objective, matrix, senses, rhs, lower = reference
-    assert np.array_equal(lp.objective, objective)
-    assert np.array_equal(lp.constraint_matrix, matrix)
+    for got, want in ((lp.objective, objective), (lp.constraint_matrix, matrix),
+                      (lp.rhs, rhs), (lp.variable_lower_bounds, lower)):
+        assert got.flags.c_contiguous
+        assert got.shape == want.shape
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
     assert lp.constraint_senses == senses
-    assert np.array_equal(lp.rhs, rhs)
-    assert np.array_equal(lp.variable_lower_bounds, lower)
 
 
 class TestCcrLpReference:
-    PAIRS = [("x", "y"), ("x", "z"), ("z", "y")]
-
-    def _check(self, X, Z, Y):
-        by_role = {"x": X, "z": Z, "y": Y}
-        for inputs_from, outputs_from in self.PAIRS:
-            inputs, outputs = by_role[inputs_from], by_role[outputs_from]
-            for k in range(X.shape[0]):
-                _assert_same_lp(_ccr_lp(inputs, outputs, k, 1e-6),
-                                reference_ccr_lp(inputs, outputs, k, 1e-6))
+    def _check(self, data, X, Z, Y):
+        by_slot = {"u": X, "w": Z, "v": Y}
+        for inputs, outputs in _FAMILIES:
+            for k in range(data.n):
+                lp = data._lp_system.lp(k, ((inputs, outputs),), outputs, inputs, 1e-6)
+                _assert_same_lp(lp, reference_ccr_lp(by_slot[inputs], by_slot[outputs],
+                                                     k, 1e-6))
 
     def test_random_datasets(self, make_random_dataset):
         rng = np.random.default_rng(31)
         for _ in range(40):
-            self._check(*_normalized_matrices(make_random_dataset(rng)))
+            data = make_random_dataset(rng)
+            self._check(data, *reference_normalized_matrices(data))
 
     @pytest.mark.parametrize("normalize", [True, False])
     def test_bundled_data(self, table1, normalize):
         if normalize:
-            self._check(*_normalized_matrices(table1))
+            self._check(table1, *reference_normalized_matrices(table1))
         else:
-            self._check(table1.X, table1.Z, table1.Y)
+            # Columns already at unit maximum: the builder divides by
+            # exactly 1.0, so it must match the reference on the raw data.
+            data = Dataset(table1.dmu_ids, table1.dmu_names,
+                           *reference_normalized_matrices(table1))
+            self._check(data, data.X, data.Z, data.Y)
+
+
+class TestFullAnalysisLpReference:
+    """Every LP run_full_analysis builds, under both priorities, against the
+    builders the one LP builder replaces."""
+
+    def _check(self, monkeypatch, data):
+        X, Z, Y = reference_normalized_matrices(data)
+        built = []
+
+        def recording_solve(problem):
+            built.append(problem)
+            return solve_lp(problem)
+
+        monkeypatch.setattr(models, "solve_lp", recording_solve)
+        for priority in StagePriority:
+            built.clear()
+            relational, _ = run_full_analysis(data, SolverConfig(stage_priority=priority))
+            want = []
+            for k, record in enumerate(relational):
+                want += [reference_relational_lp(X, Z, Y, k, 1e-6),
+                         reference_relational_lp(X, Z, Y, k, 1e-6, record.overall, priority),
+                         reference_ccr_lp(X, Y, k, 1e-6)]
+            assert len(built) == len(want)
+            for lp, reference in zip(built, want):
+                _assert_same_lp(lp, reference)
+
+    def test_random_datasets(self, monkeypatch, make_random_dataset):
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            self._check(monkeypatch, make_random_dataset(rng))
+
+    def test_bundled_data(self, monkeypatch, table1):
+        self._check(monkeypatch, table1)
+
+
+def test_lp_system_built_once_and_read_only():
+    data = load_dataset(bundled_dataset_path())
+    assert "_lp_system" not in vars(data)  # parsing builds nothing
+    system = data._lp_system
+    run_full_analysis(data)
+    solve_ccr(data, 0)
+    solve_stage_independent(data, 1, StagePriority.FIRST_STAGE)
+    solve_stage_priority(data, 2, solve_relational_overall(data, 2))
+    assert data._lp_system is system
+    for arr in (*system.normalized.values(), system.ratio_rows):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0

@@ -133,7 +133,9 @@ def _install_objective(T: np.ndarray, basis: np.ndarray, coeffs: np.ndarray) -> 
     T[-1, :-1] = coeffs
     T[-1, -1] = 0.0
     rows = np.nonzero(coeffs[basis])[0]  # subtracted in row order, one at a time
-    T[-1] = np.subtract.reduce(np.vstack([T[-1], coeffs[basis[rows], None] * T[rows]]))
+    stack = T[np.r_[-1, rows]]
+    stack[1:] *= coeffs[basis[rows], None]
+    T[-1] = np.subtract.reduce(stack)
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:

@@ -11,9 +11,9 @@ DMU:
 * the relational two-stage model, whose single LP carries both stages'
   ratio constraints with shared intermediate weights so that the overall
   score factors exactly into the product of the stage scores,
-* stage-priority decomposition, which re-solves with the overall score
-  pinned and one stage's efficiency maximized, the other obtained as the
-  quotient.
+* stage-priority decomposition, which solves the relational overall score
+  and then re-solves with it pinned and one stage's efficiency maximized,
+  the other obtained as the quotient.
 
 Every weight is bounded below by a small epsilon so no factor can be
 ignored. Because epsilon interacts with the scale of the data, each column
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,14 +39,7 @@ from .errors import (
     SolverFailureError,
     ValidationError,
 )
-from .lp_core import (
-    EQUAL,
-    LESS_EQUAL,
-    LinearProgram,
-    LpSolution,
-    SolveStatus,
-    solve_lp,
-)
+from .lp_core import EQUAL, LESS_EQUAL, LinearProgram, SolveStatus, solve_lp
 
 #: |overall - stage1 * stage2| must stay below this on every relational record.
 PRODUCT_IDENTITY_TOL = 1e-6
@@ -97,6 +91,8 @@ class Dataset:
         if len(names) != n:
             raise ValidationError(f"got {len(names)} names for {n} DMUs")
         for label, mat in (("X", X), ("Z", Z), ("Y", Y)):
+            if mat.ndim != 2:
+                raise ValidationError(f"{label} must be a 2-D matrix, got shape {mat.shape}")
             if mat.shape[0] != n:
                 raise ValidationError(f"{label} has {mat.shape[0]} rows, expected {n}")
             if mat.shape[1] < 1:
@@ -204,34 +200,6 @@ class EfficiencyRecord:
                 )
 
 
-def _check_index(data: Dataset, k: int) -> int:
-    k = int(k)
-    if not 0 <= k < data.n:
-        raise IndexError(f"DMU index {k} out of range for {data.n} DMUs")
-    return k
-
-
-def _solve_or_raise(lp: LinearProgram, cfg: SolverConfig, context: str,
-                    infeasible_exc=None) -> LpSolution:
-    solution = solve_lp(lp)
-    if solution.status is SolveStatus.OPTIMAL:
-        return solution
-    if solution.status is SolveStatus.INFEASIBLE:
-        if infeasible_exc is not None:
-            raise infeasible_exc
-        raise ConfigurationError(
-            f"{context}: LP infeasible; epsilon={cfg.epsilon} is too large "
-            f"for the normalized data"
-        )
-    raise SolverFailureError(f"{context}: solver returned {solution.status.value}")
-
-
-def _clamp_score(value: float, context: str) -> float:
-    if not 0.0 < value <= 1.0 + _SCORE_EXCESS_TOL:
-        raise SolverFailureError(f"{context}: efficiency {value} is outside (0, 1]")
-    return min(float(value), 1.0)
-
-
 #: Ratio families as (input slot, output slot), in row order: the whole
 #: process, the first stage and the second stage. Family (a, b) holds
 #: b_j . t_b - a_j . t_a <= 0 for every DMU j, where the weight slots are
@@ -291,30 +259,38 @@ class _LpSystem:
         )
 
 
-def _solve(data: Dataset, k: int, cfg: SolverConfig, context: str, families,
-           objective: str, normalization: str, pinned_overall: float | None = None,
-           infeasible_exc=None) -> tuple:
+def _solve(data: Dataset, k: int, cfg: SolverConfig, model: str, families,
+           objective: str, normalization: str,
+           pinned_overall: float | None = None) -> tuple:
     """Solve DMU k's LP that _LpSystem.lp builds from these arguments.
-    Returns its clamped optimum and its weights by slot."""
+
+    Returns (dmu_id, clamped optimum, weights by slot). An infeasible LP is
+    a ConfigurationError (epsilon too large) unless the overall score is
+    pinned: that LP holds an optimum just reached at the same epsilon, so
+    it can only fail numerically, like any other non-optimal status.
+    """
+    k = operator.index(k)
+    if not 0 <= k < data.n:
+        raise IndexError(f"DMU index {k} out of range for {data.n} DMUs")
+    dmu = data.dmu_ids[k]
+    context = f"{model} model for DMU {dmu}"
     system = data._lp_system
-    lp = system.lp(k, families, objective, normalization, cfg.epsilon, pinned_overall)
-    sol = _solve_or_raise(lp, cfg, context, infeasible_exc)
+    sol = solve_lp(system.lp(k, families, objective, normalization, cfg.epsilon,
+                             pinned_overall))
+    if sol.status is SolveStatus.INFEASIBLE and pinned_overall is None:
+        raise ConfigurationError(
+            f"{context}: LP infeasible; epsilon={cfg.epsilon} is too large "
+            f"for the normalized data"
+        )
+    if sol.status is not SolveStatus.OPTIMAL:
+        raise SolverFailureError(f"{context}: solver returned {sol.status.value}")
+    score = sol.objective_value
+    if not 0.0 < score <= 1.0 + _SCORE_EXCESS_TOL:
+        raise SolverFailureError(f"{context}: efficiency {score} is outside (0, 1]")
     slots = _slots(families)
     cuts = np.cumsum([system.normalized[slot].shape[1] for slot in slots])[:-1]
     weights = dict(zip(slots, np.split(sol.variable_values, cuts)))
-    return _clamp_score(sol.objective_value, context), Multipliers(**weights)
-
-
-def _ccr_record(data: Dataset, k: int, cfg: SolverConfig, inputs: str,
-                outputs: str) -> EfficiencyRecord:
-    """CCR record of DMU k; inputs and outputs name the two matrices by
-    their Multipliers slot: "u" (X), "w" (Z) or "v" (Y)."""
-    k = _check_index(data, k)
-    context = f"CCR model for DMU {data.dmu_ids[k]}"
-    score, weights = _solve(data, k, cfg, context, ((inputs, outputs),),
-                            objective=outputs, normalization=inputs)
-    return EfficiencyRecord(dmu_id=data.dmu_ids[k], model_kind=ModelKind.CCR,
-                            overall=score, multipliers=weights)
+    return dmu, min(float(score), 1.0), Multipliers(**weights)
 
 
 def solve_ccr(data: Dataset, k: int,
@@ -331,7 +307,10 @@ def solve_ccr(data: Dataset, k: int,
     exceeds 1. Raises ConfigurationError when epsilon makes the LP
     infeasible; numerical failures propagate as SolverFailureError.
     """
-    return _ccr_record(data, k, cfg or SolverConfig(), "u", "v")
+    dmu, score, weights = _solve(data, k, cfg or SolverConfig(), "CCR", (("u", "v"),),
+                                 objective="v", normalization="u")
+    return EfficiencyRecord(dmu_id=dmu, model_kind=ModelKind.CCR, overall=score,
+                            multipliers=weights)
 
 
 def solve_stage_independent(data: Dataset, k: int, stage: StagePriority,
@@ -344,13 +323,15 @@ def solve_stage_independent(data: Dataset, k: int, stage: StagePriority,
     """
     first = StagePriority(stage) is StagePriority.FIRST_STAGE
     inputs, outputs = ("u", "w") if first else ("w", "v")
-    ccr = _ccr_record(data, k, cfg or SolverConfig(), inputs, outputs)
+    dmu, score, weights = _solve(data, k, cfg or SolverConfig(), "CCR",
+                                 ((inputs, outputs),), objective=outputs,
+                                 normalization=inputs)
     return EfficiencyRecord(
-        dmu_id=ccr.dmu_id,
+        dmu_id=dmu,
         model_kind=ModelKind.INDEPENDENT_STAGES,
-        stage1=ccr.overall if first else None,
-        stage2=None if first else ccr.overall,
-        multipliers=ccr.multipliers,
+        stage1=score if first else None,
+        stage2=None if first else score,
+        multipliers=weights,
     )
 
 
@@ -363,10 +344,8 @@ def solve_relational_overall(data: Dataset, k: int,
     DMU, with one shared weight vector w on the intermediates. The optimum
     never exceeds the plain CCR score and factors into stage efficiencies.
     """
-    cfg = cfg or SolverConfig()
-    k = _check_index(data, k)
-    context = f"relational model for DMU {data.dmu_ids[k]}"
-    return _solve(data, k, cfg, context, _FAMILIES, objective="v", normalization="u")[0]
+    return _solve(data, k, cfg or SolverConfig(), "relational", _FAMILIES,
+                  objective="v", normalization="u")[1]
 
 
 def decompose_efficiency(overall: float, fixed_stage: float) -> float:
@@ -390,33 +369,26 @@ def decompose_efficiency(overall: float, fixed_stage: float) -> float:
     return min(overall / fixed_stage, 1.0)
 
 
-def solve_stage_priority(data: Dataset, k: int, overall: float,
+def solve_stage_priority(data: Dataset, k: int,
                          cfg: SolverConfig | None = None) -> EfficiencyRecord:
-    """Split a relational overall score into stage scores, favoring the
-    stage cfg.stage_priority names.
+    """Relational record of DMU k: its overall score, split into stage
+    scores favoring the stage cfg.stage_priority names.
 
-    The relational optimum usually admits several multiplier sets and hence
-    several stage splits. With priority FIRST_STAGE the LP maximizes the
+    The overall score comes from solve_relational_overall. Its optimum
+    usually admits several multiplier sets and hence several stage splits,
+    so a second LP pins it: with priority FIRST_STAGE that LP maximizes the
     first-stage score z_k.w (under x_k.u = 1) while the constraint
     y_k.v = overall * x_k.u keeps the overall score at its optimum; the
     second stage is the quotient. SECOND_STAGE does the symmetric thing
-    with z_k.w = 1 as the normalization. `overall` must be the relational
-    optimum for the same DMU and config; if it is not attainable the solve
-    fails with DecompositionError.
+    with z_k.w = 1 as the normalization. The pinned LP is feasible by
+    construction, so its failure is a SolverFailureError.
     """
     cfg = cfg or SolverConfig()
-    k = _check_index(data, k)
-    overall = _clamp_score(float(overall), f"pinned overall for DMU {data.dmu_ids[k]}")
+    overall = solve_relational_overall(data, k, cfg)
     first = cfg.stage_priority is StagePriority.FIRST_STAGE
-    dmu = data.dmu_ids[k]
-    fixed, weights = _solve(
-        data, k, cfg, f"stage-priority model for DMU {dmu}", _FAMILIES,
-        objective="w" if first else "v", normalization="u" if first else "w",
-        pinned_overall=overall,
-        infeasible_exc=DecompositionError(
-            f"DMU {dmu}: overall score {overall} is not attainable under the "
-            f"pinning constraint; it is stale or belongs to another configuration"
-        ),
+    dmu, fixed, weights = _solve(
+        data, k, cfg, "stage-priority", _FAMILIES, objective="w" if first else "v",
+        normalization="u" if first else "w", pinned_overall=overall,
     )
     free = decompose_efficiency(overall, fixed)
     stage1, stage2 = (fixed, free) if first else (free, fixed)
@@ -444,8 +416,7 @@ def run_full_analysis(data: Dataset, cfg: SolverConfig | None = None):
     ccr = []
     for k, dmu_id in enumerate(data.dmu_ids):
         try:
-            overall = solve_relational_overall(data, k, cfg)
-            relational.append(solve_stage_priority(data, k, overall, cfg))
+            relational.append(solve_stage_priority(data, k, cfg))
             ccr.append(solve_ccr(data, k, cfg))
         except DmuSolveError:
             raise

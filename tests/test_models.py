@@ -33,7 +33,7 @@ from netdea.errors import (
     SolverFailureError,
     ValidationError,
 )
-from netdea.lp_core import EQUAL, LESS_EQUAL
+from netdea.lp_core import EQUAL, LESS_EQUAL, LpSolution, SolveStatus
 from netdea.models import ModelKind, _FAMILIES, decompose_efficiency
 
 #: epsilon small enough that scores match the epsilon-free closed forms
@@ -66,6 +66,10 @@ class TestDatasetValidation:
     def test_row_count_mismatch(self):
         with pytest.raises(ValidationError, match="rows"):
             Dataset(("A", "B"), ("a", "b"), [[1], [2], [3]], [[1], [2]], [[1], [2]])
+
+    def test_matrix_must_be_two_dimensional(self):
+        with pytest.raises(ValidationError, match=r"X must be a 2-D matrix, got shape \(2, 1, 1\)"):
+            Dataset(("A", "B"), ("a", "b"), np.ones((2, 1, 1)), [[1], [2]], [[1], [2]])
 
     def test_matrices_read_only(self):
         data, *_ = single_column_dataset(np.random.default_rng(0), 3)
@@ -158,9 +162,9 @@ class TestRelationalClosedForm:
         r2 = y / z
         for k in range(data.n):
             overall = solve_relational_overall(data, k, TINY_EPS)
-            first = solve_stage_priority(data, k, overall, SolverConfig(
+            first = solve_stage_priority(data, k, SolverConfig(
                 epsilon=1e-8, stage_priority=StagePriority.FIRST_STAGE))
-            second = solve_stage_priority(data, k, overall, TINY_EPS)
+            second = solve_stage_priority(data, k, TINY_EPS)
             assert first.stage1 == pytest.approx(r1[k] / r1.max(), abs=1e-6)
             assert second.stage2 == pytest.approx(r2[k] / r2.max(), abs=1e-6)
             for record in (first, second):
@@ -175,8 +179,7 @@ class TestRelationalClosedForm:
         Zn = table1.Z / table1.Z.max(axis=0)
         Yn = table1.Y / table1.Y.max(axis=0)
         k = 2
-        overall = solve_relational_overall(table1, k, cfg)
-        record = solve_stage_priority(table1, k, overall, cfg)
+        record = solve_stage_priority(table1, k, cfg)
         mult = record.multipliers
         assert Zn[k] @ mult.w == pytest.approx(1.0, abs=1e-9)
         assert Yn[k] @ mult.v == pytest.approx(record.stage2, abs=1e-9)
@@ -192,19 +195,17 @@ class TestDominance:
             data = make_random_dataset(rng, plant_efficient=(i % 4 == 0))
             cfg = SolverConfig()
             for k in range(data.n):
-                overall = solve_relational_overall(data, k, cfg)
-                record = solve_stage_priority(data, k, overall, cfg)
+                record = solve_stage_priority(data, k, cfg)
                 ccr = solve_ccr(data, k, cfg=cfg)
-                assert overall <= ccr.overall + 1e-9
-                assert overall <= min(record.stage1, record.stage2) + 1e-9
+                assert record.overall <= ccr.overall + 1e-9
+                assert record.overall <= min(record.stage1, record.stage2) + 1e-9
 
     def test_dominant_dmu_is_efficient_in_both_stages(self, make_random_dataset):
         rng = np.random.default_rng(37)
         for _ in range(8):
             data = make_random_dataset(rng, plant_efficient=True)
-            overall = solve_relational_overall(data, 0)
-            assert overall == pytest.approx(1.0, abs=1e-9)
-            record = solve_stage_priority(data, 0, overall)
+            record = solve_stage_priority(data, 0)
+            assert record.overall == pytest.approx(1.0, abs=1e-9)
             assert record.stage1 >= 1.0 - 1e-6
             assert record.stage2 >= 1.0 - 1e-6
 
@@ -232,18 +233,6 @@ class TestDecomposeEfficiency:
 
 
 class TestErrorPaths:
-    def test_stale_overall_rejected(self):
-        rng = np.random.default_rng(41)
-        data, x, z, y = single_column_dataset(rng, 5)
-        k = int(np.argmin((y / x)))  # worst DMU: true overall well below 1
-        overall = solve_relational_overall(data, k, TINY_EPS)
-        with pytest.raises(DecompositionError, match="not attainable"):
-            solve_stage_priority(data, k, min(1.0, overall + 0.2), TINY_EPS)
-
-    def test_nan_overall_rejected(self, table1):
-        with pytest.raises(SolverFailureError, match="outside"):
-            solve_stage_priority(table1, 0, float("nan"))
-
     def test_oversized_epsilon_is_a_configuration_error(self, table1):
         with pytest.raises(ConfigurationError, match="epsilon"):
             solve_ccr(table1, 0, cfg=SolverConfig(epsilon=0.5))
@@ -270,6 +259,38 @@ class TestErrorPaths:
     def test_bad_index(self, table1):
         with pytest.raises(IndexError):
             solve_relational_overall(table1, 13)
+        for solve in (solve_ccr, solve_relational_overall, solve_stage_priority):
+            with pytest.raises(TypeError):
+                solve(table1, 1.7)
+        with pytest.raises(TypeError):
+            solve_stage_independent(table1, 1.7, StagePriority.FIRST_STAGE)
+        assert solve_ccr(table1, np.int64(1)).dmu_id == table1.dmu_ids[1]
+        assert solve_stage_priority(table1, np.int64(1)).dmu_id == table1.dmu_ids[1]
+
+    @staticmethod
+    def _fail_pinned_lp(monkeypatch):
+        """Only the stage-priority LP (the one with two "=" rows) comes back
+        infeasible."""
+        def solve(problem):
+            if problem.constraint_senses.count(EQUAL) == 2:
+                return LpSolution(SolveStatus.INFEASIBLE)
+            return solve_lp(problem)
+
+        monkeypatch.setattr(models, "solve_lp", solve)
+
+    def test_infeasible_pinned_lp_is_a_solver_failure(self, monkeypatch, table1):
+        self._fail_pinned_lp(monkeypatch)
+        dmu = table1.dmu_ids[3]
+        with pytest.raises(SolverFailureError, match=f"stage-priority model for DMU {dmu}: "
+                                                     f"solver returned infeasible"):
+            solve_stage_priority(table1, 3)
+
+    def test_infeasible_pinned_lp_aborts_full_analysis(self, monkeypatch, table1):
+        self._fail_pinned_lp(monkeypatch)
+        with pytest.raises(DmuSolveError) as excinfo:
+            run_full_analysis(table1)
+        assert excinfo.value.dmu_id == table1.dmu_ids[0]
+        assert isinstance(excinfo.value.__cause__, SolverFailureError)
 
 
 class TestRunFullAnalysis:
@@ -429,7 +450,7 @@ def test_lp_system_built_once_and_read_only():
     run_full_analysis(data)
     solve_ccr(data, 0)
     solve_stage_independent(data, 1, StagePriority.FIRST_STAGE)
-    solve_stage_priority(data, 2, solve_relational_overall(data, 2))
+    solve_stage_priority(data, 2)
     assert data._lp_system is system
     for arr in (*system.normalized.values(), system.ratio_rows):
         with pytest.raises(ValueError, match="read-only"):

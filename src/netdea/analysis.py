@@ -1,10 +1,12 @@
-"""Ranked score tables and cross-model rank statistics.
+"""Ranked score columns and cross-model rank statistics.
 
 Scores from the DEA models are turned into dense rankings (rank 1 is the
-best score; values within a small tolerance share a rank; the next distinct
+best score; values within RANK_TIE_TOL share a rank; the next distinct
 value takes the next integer, so a three-way tie at the top is followed by
-rank 2, not rank 4). Two tie-free rankings are compared with Spearman's
-rank correlation in its classic difference form,
+rank 2, not rank 4). An AnalysisReport stores the DMU ids once and four
+ranked columns in that order: the relational overall, stage-1 and stage-2
+scores and the CCR score. Two tie-free rankings are compared with
+Spearman's rank correlation in its classic difference form,
 
     rho = 1 - 6 * sum(d_j^2) / (n * (n^2 - 1)),   d = ranks_a - ranks_b,
 
@@ -26,93 +28,81 @@ from .errors import (
 )
 from .models import EfficiencyRecord, SolverConfig
 
+#: Decimals of the scores in the table format.
+SCORE_DECIMALS = 4
+
 #: Scores closer than this share a rank: half a unit in the table's last
-#: decimal (dataset_io.SCORE_DECIMALS), so ranks agree with the printed table.
-DEFAULT_RANK_TIE_TOL = 5e-5
+#: decimal, so ranks agree with the printed table.
+RANK_TIE_TOL = 0.5 * 10.0**-SCORE_DECIMALS
+
+#: The ranked columns of an AnalysisReport, in display order.
+_COLUMNS = ("overall", "stage1", "stage2", "ccr")
 
 
 @dataclass(frozen=True, eq=False)
 class RankTable:
-    """One score column with its dense ranks, aligned with dmu_ids."""
+    """One score column with its dense ranks, in the report's DMU order."""
 
-    dmu_ids: tuple
     scores: np.ndarray
     ranks: np.ndarray
 
     def __post_init__(self):
-        ids = tuple(self.dmu_ids)
+        ranks = _as_rank_vector("ranks", self.ranks)
         scores = np.array(self.scores, dtype=float)
-        ranks = np.array(self.ranks, dtype=int)
-        if not (len(ids) == scores.shape[0] == ranks.shape[0]):
+        if scores.shape != ranks.shape:
             raise LengthMismatchError(
-                f"ids/scores/ranks lengths differ: "
-                f"{len(ids)}/{scores.shape[0]}/{ranks.shape[0]}"
+                f"scores shape {scores.shape} differs from ranks shape {ranks.shape}"
             )
         if ranks.size and ranks.min() < 1:
             raise ValidationError("ranks must be positive integers")
         scores.setflags(write=False)
         ranks.setflags(write=False)
-        object.__setattr__(self, "dmu_ids", ids)
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "ranks", ranks)
-
-    def __len__(self) -> int:
-        return len(self.dmu_ids)
-
-
-@dataclass(frozen=True, eq=False)
-class RelationalTable:
-    """Overall, stage-1, and stage-2 columns of the relational model,
-    each ranked independently, over one shared DMU ordering."""
-
-    overall: RankTable
-    stage1: RankTable
-    stage2: RankTable
-
-    def __post_init__(self):
-        if not (self.overall.dmu_ids == self.stage1.dmu_ids == self.stage2.dmu_ids):
-            raise DmuSetMismatchError("relational columns cover different DMU orderings")
-
-    @property
-    def dmu_ids(self) -> tuple:
-        return self.overall.dmu_ids
 
 
 @dataclass(frozen=True, eq=False)
 class AnalysisReport:
-    """Everything a rendered comparison needs: the relational table, the
-    CCR table, rho between their overall rank columns (None when either
-    ranking has ties), and the config the scores were produced under."""
+    """Everything a rendered comparison needs: the DMU ids, the relational
+    overall, stage-1 and stage-2 columns and the CCR column in that order,
+    rho between the overall and CCR rank columns (None when either ranking
+    has ties), and the config the scores were produced under."""
 
-    relational_table: RelationalTable
-    ccr_table: RankTable
+    dmu_ids: tuple
+    overall: RankTable
+    stage1: RankTable
+    stage2: RankTable
+    ccr: RankTable
     spearman_rho: float | None
     config_echo: SolverConfig
 
     def __post_init__(self):
-        if self.relational_table.dmu_ids != self.ccr_table.dmu_ids:
-            raise DmuSetMismatchError(
-                "relational and CCR tables cover different DMU orderings"
-            )
+        ids = tuple(self.dmu_ids)
+        for name in _COLUMNS:
+            size = getattr(self, name).scores.size
+            if size != len(ids):
+                raise LengthMismatchError(
+                    f"{name} column has {size} rows for {len(ids)} DMUs"
+                )
         if self.spearman_rho is not None and not -1.0 <= self.spearman_rho <= 1.0:
             raise ValidationError(f"spearman_rho {self.spearman_rho} outside [-1, 1]")
+        object.__setattr__(self, "dmu_ids", ids)
 
 
-def dense_rank(scores, tie_tol: float = DEFAULT_RANK_TIE_TOL) -> np.ndarray:
-    """Dense descending ranks of `scores`; ties within tie_tol share a rank.
+def dense_rank(scores) -> np.ndarray:
+    """Dense descending ranks of `scores`; ties within RANK_TIE_TOL share a
+    rank.
 
     Clusters form against their leader: walking scores in descending order,
     a value joins the current cluster iff the cluster's maximum exceeds it
-    by at most tie_tol, so membership does not drift through chains and the
-    result is independent of the input ordering.
+    by at most RANK_TIE_TOL, so membership does not drift through chains
+    and the result is independent of the input ordering.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 1:
         raise ValueError(f"scores must be 1-d, got shape {scores.shape}")
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    if not (np.isfinite(tie_tol) and tie_tol >= 0):
-        raise ValueError(f"tie_tol must be finite and nonnegative, got {tie_tol}")
     if scores.size == 0:
         return np.zeros(0, dtype=int)
 
@@ -121,7 +111,7 @@ def dense_rank(scores, tie_tol: float = DEFAULT_RANK_TIE_TOL) -> np.ndarray:
     rank = 1
     leader = scores[order[0]]
     for idx in order:
-        if leader - scores[idx] > tie_tol:
+        if leader - scores[idx] > RANK_TIE_TOL:
             rank += 1
             leader = scores[idx]
         ranks[idx] = rank
@@ -183,7 +173,7 @@ def _unique_ids(records, label: str) -> tuple:
 
 
 def build_report(relational, ccr, cfg: SolverConfig | None = None) -> AnalysisReport:
-    """Assemble ranked tables and rho from per-DMU efficiency records.
+    """Assemble the ranked columns and rho from per-DMU efficiency records.
 
     Both record lists must cover the same DMU ids (any order); the
     relational list fixes the row order and the CCR records are aligned to
@@ -203,29 +193,14 @@ def build_report(relational, ccr, cfg: SolverConfig | None = None) -> AnalysisRe
         )
     ccr_by_id = {r.dmu_id: r for r in ccr}
     ccr_aligned = [ccr_by_id[i] for i in rel_ids]
-
-    columns = {
-        field: np.array([_score_of(r, field) for r in relational])
-        for field in ("overall", "stage1", "stage2")
-    }
-    ccr_scores = np.array([_score_of(r, "overall") for r in ccr_aligned])
-
-    tables = {
-        field: RankTable(rel_ids, scores, dense_rank(scores))
-        for field, scores in columns.items()
-    }
-    ccr_table = RankTable(rel_ids, ccr_scores, dense_rank(ccr_scores))
+    columns = {}
+    for name in _COLUMNS:
+        records, field = (ccr_aligned, "overall") if name == "ccr" else (relational, name)
+        scores = np.array([_score_of(r, field) for r in records])
+        columns[name] = RankTable(scores, dense_rank(scores))
 
     try:
-        rho = spearman_rank_correlation(tables["overall"].ranks, ccr_table.ranks)
+        rho = spearman_rank_correlation(columns["overall"].ranks, columns["ccr"].ranks)
     except TiesPresentError:
         rho = None
-
-    return AnalysisReport(
-        relational_table=RelationalTable(
-            overall=tables["overall"], stage1=tables["stage1"], stage2=tables["stage2"]
-        ),
-        ccr_table=ccr_table,
-        spearman_rho=rho,
-        config_echo=cfg,
-    )
+    return AnalysisReport(rel_ids, **columns, spearman_rho=rho, config_echo=cfg)

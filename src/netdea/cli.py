@@ -29,7 +29,7 @@ import sys
 
 from .analysis import build_report
 from .dataset_io import REPORT_FORMATS, load_dataset, render_report
-from .errors import DatasetFormatError, DmuSolveError, NetdeaError
+from .errors import DatasetFormatError, NetdeaError
 from .models import SolverConfig, StagePriority, run_full_analysis
 
 EXIT_OK = 0
@@ -143,8 +143,6 @@ def _run(args) -> int:
 
 
 def _describe(exc: Exception) -> str:
-    if isinstance(exc, DmuSolveError):
-        return f"solving DMU {exc.dmu_id} failed: {exc}"
     if isinstance(exc, DatasetFormatError):
         where = []
         if exc.row is not None:

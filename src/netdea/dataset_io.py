@@ -21,7 +21,7 @@ import re
 from importlib import resources
 from typing import NamedTuple
 
-from .analysis import AnalysisReport, RankTable
+from .analysis import SCORE_DECIMALS, AnalysisReport, RankTable
 from .errors import ParseError, SchemaError, ValidationError
 from .lp_core import FEASIBILITY_TOL, MAX_ITERATIONS, OPTIMALITY_TOL, PIVOT_TOL
 from .models import Dataset, SolverConfig
@@ -160,11 +160,6 @@ def bundled_dataset_path() -> str:
     return str(resources.files("netdea").joinpath(f"data/{BUNDLED_DATASET_NAME}"))
 
 
-#: Decimals of the scores in the table format. DEFAULT_RANK_TIE_TOL (5e-5)
-#: is half a unit in this last place, so ranks agree with the printed
-#: table; change the two together.
-SCORE_DECIMALS = 4
-
 #: The formats render_report accepts.
 REPORT_FORMATS = ("table", "csv", "json")
 
@@ -203,18 +198,15 @@ def _normalize_sections(sections) -> tuple:
 
 
 def _report_columns(report: AnalysisReport, sections) -> list:
-    rel = report.relational_table
     columns = []
     if "relational" in sections:
-        for title, key, table in (("Overall", "overall", rel.overall),
-                                  ("Stage 1", "stage1", rel.stage1),
-                                  ("Stage 2", "stage2", rel.stage2)):
+        for title, key in (("Overall", "overall"), ("Stage 1", "stage1"),
+                           ("Stage 2", "stage2")):
             keys = (key, f"rank_{key}")
-            columns.append(_Column("relational", title, keys, keys, table))
+            columns.append(_Column("relational", title, keys, keys, getattr(report, key)))
     if "ccr" in sections:
         csv_keys = ("ccr_score", "ccr_rank") if len(sections) > 1 else ("score", "rank")
-        columns.append(_Column("ccr", "CCR", csv_keys, ("score", "rank"),
-                               report.ccr_table))
+        columns.append(_Column("ccr", "CCR", csv_keys, ("score", "rank"), report.ccr))
     return columns
 
 
@@ -231,8 +223,8 @@ def _fields(columns, ranks_only: bool, json_keys: bool) -> dict:
     return {section: scores + ranks for section, (scores, ranks) in fields.items()}
 
 
-def _render_table(columns, rho, ranks_only: bool) -> str:
-    body = [("DMU", columns[0].table.dmu_ids)]
+def _render_table(ids, columns, rho, ranks_only: bool) -> str:
+    body = [("DMU", ids)]
     for column in columns:
         table = column.table
         if ranks_only:
@@ -254,14 +246,14 @@ def _render_table(columns, rho, ranks_only: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_csv(columns, rho, ranks_only: bool) -> str:
+def _render_csv(ids, columns, rho, ranks_only: bool) -> str:
     by_section = _fields(columns, ranks_only, json_keys=False)
     fields = [field for section in by_section.values() for field in section]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["id"] + [key for key, _ in fields])
     # csv writes floats with repr, so scores keep full precision.
-    for row, dmu_id in enumerate(columns[0].table.dmu_ids):
+    for row, dmu_id in enumerate(ids):
         writer.writerow([dmu_id] + [values[row] for _, values in fields])
     if rho is not _NO_RHO:
         writer.writerow(["spearman_rho", "" if rho is None else rho])
@@ -283,9 +275,8 @@ def _config_payload(cfg: SolverConfig) -> dict:
     }
 
 
-def _render_json(columns, rho, ranks_only: bool, cfg: SolverConfig) -> str:
+def _render_json(ids, columns, rho, ranks_only: bool, cfg: SolverConfig) -> str:
     payload = {"config": _config_payload(cfg)}
-    ids = columns[0].table.dmu_ids
     for section, fields in _fields(columns, ranks_only, json_keys=True).items():
         payload[section] = [
             {"id": dmu_id, **{key: values[row] for key, values in fields}}
@@ -316,7 +307,7 @@ def render_report(report: AnalysisReport, fmt: str = "table",
     columns = _report_columns(report, sections)
     rho = report.spearman_rho if include_rho and len(sections) > 1 else _NO_RHO
     if fmt == "table":
-        return _render_table(columns, rho, ranks_only)
+        return _render_table(report.dmu_ids, columns, rho, ranks_only)
     if fmt == "csv":
-        return _render_csv(columns, rho, ranks_only)
-    return _render_json(columns, rho, ranks_only, report.config_echo)
+        return _render_csv(report.dmu_ids, columns, rho, ranks_only)
+    return _render_json(report.dmu_ids, columns, rho, ranks_only, report.config_echo)

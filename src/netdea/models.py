@@ -56,12 +56,6 @@ class StagePriority(enum.Enum):
     SECOND_STAGE = "second"
 
 
-class ModelKind(enum.Enum):
-    CCR = "ccr"
-    RELATIONAL_TWO_STAGE = "relational_two_stage"
-    INDEPENDENT_STAGES = "independent_stages"
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable n-DMU dataset: inputs X (n x m), intermediates Z (n x p),
@@ -174,10 +168,11 @@ class Multipliers:
 
 @dataclass(frozen=True, eq=False)
 class EfficiencyRecord:
-    """Per-DMU scores of one model solve; unset fields are None."""
+    """Per-DMU scores of one model solve; unset fields are None. Only a
+    relational record sets all three scores, and then overall must equal
+    stage1 * stage2."""
 
     dmu_id: str
-    model_kind: ModelKind
     overall: float | None = None
     stage1: float | None = None
     stage2: float | None = None
@@ -190,8 +185,7 @@ class EfficiencyRecord:
                 raise SolverFailureError(
                     f"{label} efficiency {value} of DMU {self.dmu_id} is outside (0, 1]"
                 )
-        if (self.model_kind is ModelKind.RELATIONAL_TWO_STAGE
-                and None not in (self.overall, self.stage1, self.stage2)):
+        if None not in (self.overall, self.stage1, self.stage2):
             gap = abs(self.overall - self.stage1 * self.stage2)
             if gap > PRODUCT_IDENTITY_TOL:
                 raise SolverFailureError(
@@ -309,8 +303,7 @@ def solve_ccr(data: Dataset, k: int,
     """
     dmu, score, weights = _solve(data, k, cfg or SolverConfig(), "CCR", (("u", "v"),),
                                  objective="v", normalization="u")
-    return EfficiencyRecord(dmu_id=dmu, model_kind=ModelKind.CCR, overall=score,
-                            multipliers=weights)
+    return EfficiencyRecord(dmu_id=dmu, overall=score, multipliers=weights)
 
 
 def solve_stage_independent(data: Dataset, k: int, stage: StagePriority,
@@ -328,7 +321,6 @@ def solve_stage_independent(data: Dataset, k: int, stage: StagePriority,
                                  normalization=inputs)
     return EfficiencyRecord(
         dmu_id=dmu,
-        model_kind=ModelKind.INDEPENDENT_STAGES,
         stage1=score if first else None,
         stage2=None if first else score,
         multipliers=weights,
@@ -394,7 +386,6 @@ def solve_stage_priority(data: Dataset, k: int,
     stage1, stage2 = (fixed, free) if first else (free, fixed)
     return EfficiencyRecord(
         dmu_id=dmu,
-        model_kind=ModelKind.RELATIONAL_TWO_STAGE,
         overall=overall,
         stage1=stage1,
         stage2=stage2,

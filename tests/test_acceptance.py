@@ -76,72 +76,69 @@ def random_sweep(make_random_dataset):
 
 
 def check_golden_tables(report):
-    table = report.relational_table
-    assert table.dmu_ids == DMU_IDS
-    np.testing.assert_allclose(table.overall.scores, REFERENCE_OVERALL,
+    assert report.dmu_ids == DMU_IDS
+    np.testing.assert_allclose(report.overall.scores, REFERENCE_OVERALL,
                                rtol=0, atol=SCORE_TOL)
-    assert table.overall.ranks.tolist() == REFERENCE_OVERALL_RANKS
+    assert report.overall.ranks.tolist() == REFERENCE_OVERALL_RANKS
 
-    np.testing.assert_allclose(table.stage1.scores, REFERENCE_STAGE1,
+    np.testing.assert_allclose(report.stage1.scores, REFERENCE_STAGE1,
                                rtol=0, atol=SCORE_TOL)
-    np.testing.assert_allclose(table.stage2.scores, REFERENCE_STAGE2,
+    np.testing.assert_allclose(report.stage2.scores, REFERENCE_STAGE2,
                                rtol=0, atol=SCORE_TOL)
-    assert table.stage1.ranks.tolist() == REFERENCE_STAGE1_RANKS
+    assert report.stage1.ranks.tolist() == REFERENCE_STAGE1_RANKS
     for dmu in ("D7", "D11", "D13"):
-        assert table.stage1.ranks[DMU_IDS.index(dmu)] == 1
-    assert abs(table.stage2.scores[0] - 1.0) <= 1e-6
+        assert report.stage1.ranks[DMU_IDS.index(dmu)] == 1
+    assert abs(report.stage2.scores[0] - 1.0) <= 1e-6
 
-    assert abs(report.ccr_table.scores[0] - 1.0) <= 1e-6
-    np.testing.assert_allclose(report.ccr_table.scores, REFERENCE_CCR,
+    assert abs(report.ccr.scores[0] - 1.0) <= 1e-6
+    np.testing.assert_allclose(report.ccr.scores, REFERENCE_CCR,
                                rtol=0, atol=SCORE_TOL)
-    assert report.ccr_table.ranks.tolist() == REFERENCE_CCR_RANKS
+    assert report.ccr.ranks.tolist() == REFERENCE_CCR_RANKS
 
     d = np.array(REFERENCE_OVERALL_RANKS) - np.array(REFERENCE_CCR_RANKS)
     assert int(d @ d) == 30
-    rho = spearman_rank_correlation(report.relational_table.overall.ranks,
-                                    report.ccr_table.ranks)
+    rho = spearman_rank_correlation(report.overall.ranks,
+                                    report.ccr.ranks)
     assert rho == pytest.approx(RHO_REFERENCE, abs=1e-5)
     assert report.spearman_rho == pytest.approx(RHO_REFERENCE, abs=1e-5)
 
 
 def test_01_golden_overall_scores_and_ranks(pipeline_default):
     report, _, _, elapsed = pipeline_default
-    table = report.relational_table
-    assert table.dmu_ids == DMU_IDS
-    np.testing.assert_allclose(table.overall.scores, REFERENCE_OVERALL,
+    assert report.dmu_ids == DMU_IDS
+    np.testing.assert_allclose(report.overall.scores, REFERENCE_OVERALL,
                                rtol=0, atol=SCORE_TOL)
-    assert table.overall.ranks.tolist() == REFERENCE_OVERALL_RANKS
+    assert report.overall.ranks.tolist() == REFERENCE_OVERALL_RANKS
     assert elapsed < 1.0
     print(f"\nacceptance 01 overall scores/ranks (solved in {elapsed:.3f}s): PASS")
 
 
 def test_02_golden_stage_scores_and_stage1_ties(pipeline_default):
     report, *_ = pipeline_default
-    table = report.relational_table
-    np.testing.assert_allclose(table.stage1.scores, REFERENCE_STAGE1,
+    np.testing.assert_allclose(report.stage1.scores, REFERENCE_STAGE1,
                                rtol=0, atol=SCORE_TOL)
-    np.testing.assert_allclose(table.stage2.scores, REFERENCE_STAGE2,
+    np.testing.assert_allclose(report.stage2.scores, REFERENCE_STAGE2,
                                rtol=0, atol=SCORE_TOL)
-    assert table.stage1.ranks.tolist() == REFERENCE_STAGE1_RANKS
+    assert report.stage1.ranks.tolist() == REFERENCE_STAGE1_RANKS
     for dmu in ("D7", "D11", "D13"):
-        assert table.stage1.ranks[DMU_IDS.index(dmu)] == 1
-    assert abs(table.stage2.scores[0] - 1.0) <= 1e-6
+        assert report.stage1.ranks[DMU_IDS.index(dmu)] == 1
+    assert abs(report.stage2.scores[0] - 1.0) <= 1e-6
     print("\nacceptance 02 stage scores and stage-1 ties: PASS")
 
 
 def test_03_golden_ccr_scores_and_ranks(pipeline_default):
     report, *_ = pipeline_default
-    assert abs(report.ccr_table.scores[0] - 1.0) <= 1e-6
-    np.testing.assert_allclose(report.ccr_table.scores, REFERENCE_CCR,
+    assert abs(report.ccr.scores[0] - 1.0) <= 1e-6
+    np.testing.assert_allclose(report.ccr.scores, REFERENCE_CCR,
                                rtol=0, atol=SCORE_TOL)
-    assert report.ccr_table.ranks.tolist() == REFERENCE_CCR_RANKS
+    assert report.ccr.ranks.tolist() == REFERENCE_CCR_RANKS
     print("\nacceptance 03 CCR scores/ranks: PASS")
 
 
 def test_04_rank_correlation(pipeline_default):
     report, *_ = pipeline_default
-    d = (np.asarray(report.relational_table.overall.ranks)
-         - np.asarray(report.ccr_table.ranks))
+    d = (np.asarray(report.overall.ranks)
+         - np.asarray(report.ccr.ranks))
     assert int(d @ d) == 30
     assert report.spearman_rho == pytest.approx(
         1 - 6 * 30 / (13 * (13 * 13 - 1)), abs=1e-12)
@@ -189,10 +186,10 @@ def test_08_units_invariance(table1, pipeline_default):
 
     report, *_ = pipeline_default
     base = np.vstack([
-        report.relational_table.overall.scores,
-        report.relational_table.stage1.scores,
-        report.relational_table.stage2.scores,
-        report.ccr_table.scores,
+        report.overall.scores,
+        report.stage1.scores,
+        report.stage2.scores,
+        report.ccr.scores,
     ])
     matrices = {"X": table1.X, "Z": table1.Z, "Y": table1.Y}
     for role, matrix in matrices.items():
@@ -204,10 +201,10 @@ def test_08_units_invariance(table1, pipeline_default):
                                scaled["X"], scaled["Z"], scaled["Y"])
                 rep, *_ = run_pipeline(data, SolverConfig())
                 got = np.vstack([
-                    rep.relational_table.overall.scores,
-                    rep.relational_table.stage1.scores,
-                    rep.relational_table.stage2.scores,
-                    rep.ccr_table.scores,
+                    rep.overall.scores,
+                    rep.stage1.scores,
+                    rep.stage2.scores,
+                    rep.ccr.scores,
                 ])
                 np.testing.assert_allclose(got, base, rtol=0, atol=1e-6)
     print("\nacceptance 08 units invariance under column rescaling: PASS")

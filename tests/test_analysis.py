@@ -7,7 +7,7 @@ import pytest
 
 from netdea import AnalysisReport, EfficiencyRecord, SolverConfig, build_report
 from netdea.analysis import (
-    DEFAULT_RANK_TIE_TOL,
+    RANK_TIE_TOL,
     RankTable,
     dense_rank,
     spearman_rank_correlation,
@@ -18,16 +18,14 @@ from netdea.errors import (
     TiesPresentError,
     ValidationError,
 )
-from netdea.models import ModelKind
 
 
 def relational_record(dmu_id, overall, stage1, stage2):
-    return EfficiencyRecord(dmu_id, ModelKind.RELATIONAL_TWO_STAGE,
-                            overall=overall, stage1=stage1, stage2=stage2)
+    return EfficiencyRecord(dmu_id, overall=overall, stage1=stage1, stage2=stage2)
 
 
 def ccr_record(dmu_id, score):
-    return EfficiencyRecord(dmu_id, ModelKind.CCR, overall=score)
+    return EfficiencyRecord(dmu_id, overall=score)
 
 
 class TestDenseRank:
@@ -48,15 +46,16 @@ class TestDenseRank:
         assert dense_rank([0.2, 0.9, 0.5]).tolist() == [3, 1, 2]
 
     def test_tie_tolerance_boundary(self):
-        tol = DEFAULT_RANK_TIE_TOL
+        tol = RANK_TIE_TOL
+        assert tol == 5e-5  # half a unit in the last of 4 printed decimals
         assert dense_rank([1.0, 1.0 - 0.8 * tol, 0.5]).tolist() == [1, 1, 2]
         assert dense_rank([1.0, 1.0 - 1.2 * tol, 0.5]).tolist() == [1, 2, 3]
 
     def test_clusters_compare_against_leader(self):
         # chain 1.0, 0.99996, 0.99992: third is within tol of second but
         # not of the cluster leader, so it starts a new rank
-        tol = 5e-5
-        got = dense_rank([1.0, 1.0 - 0.8 * tol, 1.0 - 1.6 * tol], tie_tol=tol)
+        tol = RANK_TIE_TOL
+        got = dense_rank([1.0, 1.0 - 0.8 * tol, 1.0 - 1.6 * tol])
         assert got.tolist() == [1, 1, 2]
 
     def test_permutation_equivariance(self):
@@ -71,15 +70,6 @@ class TestDenseRank:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             dense_rank([1.0, np.nan])
-
-    def test_rejects_negative_tol(self):
-        with pytest.raises(ValueError, match="tie_tol"):
-            dense_rank([1.0], tie_tol=-1e-9)
-
-    @pytest.mark.parametrize("tie_tol", [np.nan, np.inf])
-    def test_rejects_non_finite_tol(self, tie_tol):
-        with pytest.raises(ValueError, match="tie_tol"):
-            dense_rank([1.0, 0.5], tie_tol=tie_tol)
 
 
 class TestSpearman:
@@ -153,11 +143,33 @@ class TestSpearman:
 class TestRankTable:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
-            RankTable(("A", "B"), [0.5], [1])
+            RankTable([0.5], [1, 2])
 
     def test_nonpositive_rank(self):
         with pytest.raises(ValidationError):
-            RankTable(("A", "B"), [0.5, 0.4], [0, 1])
+            RankTable([0.5, 0.4], [0, 1])
+
+    @pytest.mark.parametrize("ranks", [[1.7, 2.2], [1, np.nan], [1, 1e300]])
+    def test_non_integer_rank_rejected(self, ranks):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="integer"):
+                RankTable([0.5, 0.4], ranks)
+
+    def test_scores_must_match_rank_shape(self):
+        with pytest.raises(LengthMismatchError, match="shape"):
+            RankTable([[0.5], [0.4]], [1, 2])
+        with pytest.raises(ValueError, match="1-d"):
+            RankTable([[0.5, 0.4]], [[1, 2]])
+
+    def test_stores_read_only_copies(self):
+        scores = np.array([0.5, 0.4])
+        table = RankTable(scores, [1, 2])
+        scores[0] = 0.1
+        assert table.scores.tolist() == [0.5, 0.4]
+        assert table.ranks.tolist() == [1, 2]
+        with pytest.raises(ValueError):
+            table.ranks[0] = 3
 
 
 class TestBuildReport:
@@ -169,11 +181,11 @@ class TestBuildReport:
         ]
         ccr = [ccr_record("A", 0.9), ccr_record("B", 0.5), ccr_record("C", 0.3)]
         report = build_report(relational, ccr, SolverConfig())
-        table = report.relational_table
-        assert table.overall.ranks.tolist() == [1, 3, 2]
-        assert table.stage1.ranks.tolist() == [1, 2, 3]
-        assert table.stage2.ranks.tolist() == [2, 3, 1]
-        assert report.ccr_table.ranks.tolist() == [1, 2, 3]
+        assert report.dmu_ids == ("A", "B", "C")
+        assert report.overall.ranks.tolist() == [1, 3, 2]
+        assert report.stage1.ranks.tolist() == [1, 2, 3]
+        assert report.stage2.ranks.tolist() == [2, 3, 1]
+        assert report.ccr.ranks.tolist() == [1, 2, 3]
         # rho by hand: d = (0, 1, -1), sum d^2 = 2, 1 - 12/24 = 0.5
         assert report.spearman_rho == pytest.approx(0.5)
 
@@ -184,8 +196,8 @@ class TestBuildReport:
         ]
         ccr = [ccr_record("B", 0.5), ccr_record("A", 0.9)]  # reversed order
         report = build_report(relational, ccr)
-        assert report.ccr_table.dmu_ids == ("A", "B")
-        assert report.ccr_table.scores.tolist() == [0.9, 0.5]
+        assert report.dmu_ids == ("A", "B")
+        assert report.ccr.scores.tolist() == [0.9, 0.5]
 
     def test_identical_rankings_give_rho_one(self):
         relational = [
@@ -204,7 +216,7 @@ class TestBuildReport:
         ccr = [ccr_record("A", 0.9), ccr_record("B", 0.5), ccr_record("C", 0.3)]
         report = build_report(relational, ccr)
         assert report.spearman_rho is None
-        assert report.relational_table.overall.ranks.tolist() == [1, 1, 2]
+        assert report.overall.ranks.tolist() == [1, 1, 2]
 
     def test_dmu_set_mismatch(self):
         relational = [
@@ -227,20 +239,23 @@ class TestBuildReport:
     def test_missing_scores_rejected(self):
         relational = [
             relational_record("A", 0.30, 0.6, 0.5),
-            EfficiencyRecord("B", ModelKind.RELATIONAL_TWO_STAGE, overall=0.08),
+            EfficiencyRecord("B", overall=0.08),
         ]
         ccr = [ccr_record("A", 0.9), ccr_record("B", 0.5)]
         with pytest.raises(ValidationError, match="stage1"):
             build_report(relational, ccr)
 
     def test_report_invariants(self):
-        table = RankTable(("A", "B"), [0.9, 0.5], [1, 2])
-        other = RankTable(("A", "C"), [0.9, 0.5], [1, 2])
-        from netdea.analysis import RelationalTable
-
-        with pytest.raises(DmuSetMismatchError):
-            RelationalTable(overall=table, stage1=table, stage2=other)
-        relational = RelationalTable(overall=table, stage1=table, stage2=table)
+        table = RankTable([0.9, 0.5], [1, 2])
+        short = RankTable([0.9], [1])
+        columns = dict(overall=table, stage1=table, stage2=table, ccr=table)
+        for name in columns:
+            with pytest.raises(LengthMismatchError, match=f"^{name} column has 1 rows"):
+                AnalysisReport(("A", "B"), **{**columns, name: short},
+                               spearman_rho=None, config_echo=SolverConfig())
         with pytest.raises(ValidationError, match="spearman"):
-            AnalysisReport(relational_table=relational, ccr_table=table,
-                           spearman_rho=1.5, config_echo=SolverConfig())
+            AnalysisReport(("A", "B"), **columns, spearman_rho=1.5,
+                           config_echo=SolverConfig())
+        report = AnalysisReport(["A", "B"], **columns, spearman_rho=1.0,
+                                config_echo=SolverConfig())
+        assert report.dmu_ids == ("A", "B")

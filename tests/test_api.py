@@ -1,8 +1,10 @@
 """The package root exports exactly the names that the README's "Library
-use" section lists, one bullet per name, and the README names every
-SolverConfig field."""
+use" section lists, one bullet per name, the README names every
+SolverConfig field, and its library example runs."""
 
+import contextlib
 import dataclasses
+import io
 import re
 from pathlib import Path
 
@@ -11,10 +13,13 @@ import netdea
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def documented_names():
+def library_section():
     text = README.read_text(encoding="utf-8")
-    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
-    return sorted(re.findall(r"^- `(\w+)`", section, flags=re.M))
+    return text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+
+
+def documented_names():
+    return sorted(re.findall(r"^- `(\w+)`", library_section(), flags=re.M))
 
 
 def test_root_exports_exactly_the_documented_names():
@@ -32,3 +37,16 @@ def test_readme_lists_the_solver_config_fields():
     assert re.findall(r"`(\w+)`", listed) == [
         field.name for field in dataclasses.fields(netdea.SolverConfig)
     ]
+
+
+def test_readme_library_example_runs_on_the_bundled_dataset():
+    example = re.search(r"```python\n(.*?)```", library_section(), flags=re.S).group(1)
+    assert '"units.csv"' in example
+    example = example.replace('"units.csv"', repr(netdea.bundled_dataset_path()))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(example, {})
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 14
+    assert lines[0] == "D1: overall 0.4973 (rank 1)"
+    assert lines[-1].startswith("spearman rho: 0.9175")

@@ -18,21 +18,18 @@ from netdea import (
 )
 from netdea.dataset_io import BUNDLED_DATASET_NAME
 from netdea.errors import ParseError, SchemaError, ValidationError
-from netdea.models import ModelKind
 
 MINIMAL = "id,name,x1,z1,y1\nA,Alpha,3,2,6\nB,Beta,4,5,1\n"
 
 
 def small_report(cfg=None):
     relational = [
-        EfficiencyRecord("A", ModelKind.RELATIONAL_TWO_STAGE,
-                         overall=0.4973, stage1=0.4973, stage2=1.0),
-        EfficiencyRecord("B", ModelKind.RELATIONAL_TWO_STAGE,
-                         overall=0.7147 * 0.17277, stage1=0.7147, stage2=0.17277),
+        EfficiencyRecord("A", overall=0.4973, stage1=0.4973, stage2=1.0),
+        EfficiencyRecord("B", overall=0.7147 * 0.17277, stage1=0.7147, stage2=0.17277),
     ]
     ccr = [
-        EfficiencyRecord("A", ModelKind.CCR, overall=1.0),
-        EfficiencyRecord("B", ModelKind.CCR, overall=0.4067),
+        EfficiencyRecord("A", overall=1.0),
+        EfficiencyRecord("B", overall=0.4067),
     ]
     return build_report(relational, ccr, cfg or SolverConfig())
 
@@ -179,11 +176,11 @@ class TestCsvFormat:
                 if r and r[0] != "spearman_rho"]
         header, *body = rows
         by_id = {row[0]: dict(zip(header, row)) for row in body}
-        overall = report.relational_table.overall
-        for i, dmu in enumerate(overall.dmu_ids):
+        overall = report.overall
+        for i, dmu in enumerate(report.dmu_ids):
             assert float(by_id[dmu]["overall"]) == overall.scores[i]
             assert int(by_id[dmu]["rank_overall"]) == overall.ranks[i]
-            assert float(by_id[dmu]["ccr_score"]) == report.ccr_table.scores[i]
+            assert float(by_id[dmu]["ccr_score"]) == report.ccr.scores[i]
 
     def test_rho_row_appended(self):
         text = render_report(small_report(), "csv")

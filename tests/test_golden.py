@@ -22,7 +22,6 @@ from netdea import (
     render_report,
 )
 from netdea.cli import main
-from netdea.models import ModelKind
 
 GOLDEN = Path(__file__).parent / "golden"
 FORMATS = ("table", "csv", "json")
@@ -51,17 +50,14 @@ def _cli_output(command, model, fmt) -> str:
 def tied_report():
     # A and B tie on overall, so the rank vectors have ties and rho is None.
     relational = [
-        EfficiencyRecord("A", ModelKind.RELATIONAL_TWO_STAGE,
-                         overall=0.5, stage1=0.5, stage2=1.0),
-        EfficiencyRecord("B", ModelKind.RELATIONAL_TWO_STAGE,
-                         overall=0.5, stage1=1.0, stage2=0.5),
-        EfficiencyRecord("C", ModelKind.RELATIONAL_TWO_STAGE,
-                         overall=0.25, stage1=0.5, stage2=0.5),
+        EfficiencyRecord("A", overall=0.5, stage1=0.5, stage2=1.0),
+        EfficiencyRecord("B", overall=0.5, stage1=1.0, stage2=0.5),
+        EfficiencyRecord("C", overall=0.25, stage1=0.5, stage2=0.5),
     ]
     ccr = [
-        EfficiencyRecord("A", ModelKind.CCR, overall=1.0),
-        EfficiencyRecord("B", ModelKind.CCR, overall=0.75),
-        EfficiencyRecord("C", ModelKind.CCR, overall=0.3),
+        EfficiencyRecord("A", overall=1.0),
+        EfficiencyRecord("B", overall=0.75),
+        EfficiencyRecord("C", overall=0.3),
     ]
     return build_report(relational, ccr)
 

@@ -34,7 +34,7 @@ from netdea.errors import (
     ValidationError,
 )
 from netdea.lp_core import EQUAL, LESS_EQUAL, LpSolution, SolveStatus
-from netdea.models import ModelKind, _FAMILIES, decompose_efficiency
+from netdea.models import _FAMILIES, decompose_efficiency
 
 #: epsilon small enough that scores match the epsilon-free closed forms
 TINY_EPS = SolverConfig(epsilon=1e-8)
@@ -102,7 +102,7 @@ class TestCcrClosedForm:
             for k in range(data.n):
                 expected = ratios[k] / ratios.max()
                 record = solve_ccr(data, k, cfg=TINY_EPS)
-                assert record.model_kind is ModelKind.CCR
+                assert (record.stage1, record.stage2) == (None, None)
                 assert record.overall == pytest.approx(expected, abs=1e-6)
 
     def test_best_ratio_dmu_scores_one(self):
@@ -135,8 +135,8 @@ class TestIndependentStages:
         data, x, z, y = single_column_dataset(rng, 5)
         first = solve_stage_independent(data, 1, StagePriority.FIRST_STAGE, TINY_EPS)
         second = solve_stage_independent(data, 1, StagePriority.SECOND_STAGE, TINY_EPS)
-        assert first.stage1 is not None and first.stage2 is None
-        assert second.stage2 is not None and second.stage1 is None
+        assert first.stage1 is not None and (first.overall, first.stage2) == (None, None)
+        assert second.stage2 is not None and (second.overall, second.stage1) == (None, None)
         r1 = z / x
         r2 = y / z
         assert first.stage1 == pytest.approx(r1[1] / r1.max(), abs=1e-6)
@@ -249,12 +249,13 @@ class TestErrorPaths:
 
     def test_record_rejects_score_above_one(self):
         with pytest.raises(SolverFailureError, match="outside"):
-            EfficiencyRecord("A", ModelKind.CCR, overall=1.001)
+            EfficiencyRecord("A", overall=1.001)
 
     def test_record_rejects_broken_product(self):
         with pytest.raises(SolverFailureError, match="deviates"):
-            EfficiencyRecord("A", ModelKind.RELATIONAL_TWO_STAGE,
-                             overall=0.5, stage1=0.9, stage2=0.9)
+            EfficiencyRecord("A", overall=0.5, stage1=0.9, stage2=0.9)
+        # With a score unset there is no product to check.
+        EfficiencyRecord("A", overall=0.5, stage1=0.9)
 
     def test_bad_index(self, table1):
         with pytest.raises(IndexError):
@@ -299,11 +300,10 @@ class TestRunFullAnalysis:
         assert [r.dmu_id for r in relational] == list(table1.dmu_ids)
         assert [r.dmu_id for r in ccr] == list(table1.dmu_ids)
         for record in relational:
-            assert record.model_kind is ModelKind.RELATIONAL_TWO_STAGE
             assert None not in (record.overall, record.stage1, record.stage2)
         for record in ccr:
-            assert record.model_kind is ModelKind.CCR
             assert record.overall is not None
+            assert (record.stage1, record.stage2) == (None, None)
 
     def test_priority_changes_split_not_overall(self, make_random_dataset):
         rng = np.random.default_rng(43)

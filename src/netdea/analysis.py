@@ -175,15 +175,17 @@ def _unique_ids(records, label: str) -> tuple:
 def build_report(relational, ccr, cfg: SolverConfig | None = None) -> AnalysisReport:
     """Assemble the ranked columns and rho from per-DMU efficiency records.
 
-    Both record lists must cover the same DMU ids (any order); the
-    relational list fixes the row order and the CCR records are aligned to
-    it. Each score column is ranked with dense_rank. rho compares the
-    overall rank column against the CCR rank column and is stored as None
-    when either column contains ties, since the difference form does not
-    apply then.
+    Both record lists must cover the same DMU ids (any order), at least 2
+    of them, as a Dataset does; the relational list fixes the row order and
+    the CCR records are aligned to it. Each score column is ranked with
+    dense_rank. rho compares the overall rank column against the CCR rank
+    column and is stored as None when either column contains ties, since
+    the difference form does not apply then.
     """
     cfg = cfg or SolverConfig()
     rel_ids = _unique_ids(relational, "relational")
+    if len(rel_ids) < 2:
+        raise ValidationError(f"need at least 2 DMUs, got {len(rel_ids)}")
     ccr_ids = _unique_ids(ccr, "CCR")
     if set(rel_ids) != set(ccr_ids):
         missing = set(rel_ids) ^ set(ccr_ids)

@@ -13,6 +13,12 @@ dense. The programs built by this package have one column per multiplier
 weight, usually a handful, and one row per ratio constraint: a relational
 LP over n DMUs has up to 3n + 2 rows, 302 at n = 100.
 
+The tableau is built over t = x - lb >= 0, with the rows of negative
+shifted rhs negated. Its columns are the variables, a slack per <= row, a
+surplus per >= row, an artificial per row without a slack (each group in
+row order) and the rhs. Every LP runs phase 1, which drives the
+artificials out: with none it is a zero objective, optimal after 0 pivots.
+
 Every basic column of the tableau is an exact unit vector (a pivot leaves
 its entering column exact: x / x is 1.0 and x - x * 1.0 is +0.0), so the
 pivot row is zero in the other basic columns and a pivot updates only its
@@ -30,7 +36,6 @@ LESS_EQUAL = "<="
 EQUAL = "="
 GREATER_EQUAL = ">="
 _SENSES = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
-_FLIPPED = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}
 
 _SMALL_PIVOT_STRIKE_LIMIT = 3
 
@@ -207,6 +212,33 @@ def _max_violation(lp: LinearProgram, x: np.ndarray) -> float:
     return max(worst, bound_gap)
 
 
+def _initial_tableau(lp: LinearProgram):
+    """Phase-1 tableau of lp in the module docstring's column layout, its
+    starting basis (each row's slack or artificial) and the first artificial
+    column. A negated row's sense flips, so every rhs is >= 0."""
+    n, m = lp.num_variables, lp.num_constraints
+    A = lp.constraint_matrix
+    Ab = np.column_stack((A, lp.rhs - A @ lp.variable_lower_bounds))
+    flip = Ab[:, -1] < 0
+    np.negative(Ab, out=Ab, where=flip[:, None])
+    senses = np.array(lp.constraint_senses, dtype=str)
+    le, ge = senses == LESS_EQUAL, senses == GREATER_EQUAL
+    slack, surplus = np.where(flip, ge, le), np.where(flip, le, ge)  # <= and >= rows
+    slack_rows, surplus_rows = slack.nonzero()[0], surplus.nonzero()[0]
+    art_rows = (~slack).nonzero()[0]
+    art_start = n + slack_rows.size + surplus_rows.size
+    slack_cols = np.arange(n, n + slack_rows.size)
+    art_cols = np.arange(art_start, art_start + art_rows.size)
+    T = np.zeros((m + 1, art_start + art_rows.size + 1))
+    T[:m, :n], T[:m, -1] = Ab[:, :n], Ab[:, -1]
+    T[slack_rows, slack_cols] = 1.0
+    T[surplus_rows, np.arange(n + slack_rows.size, art_start)] = -1.0
+    T[art_rows, art_cols] = 1.0
+    basis = np.empty(m, dtype=int)
+    basis[slack_rows], basis[art_rows] = slack_cols, art_cols
+    return T, basis, art_start
+
+
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve a LinearProgram with the two-phase primal simplex.
 
@@ -217,77 +249,30 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     feasibility check); callers must surface it rather than substitute a
     value.
     """
-    n = lp.num_variables
-    m = lp.num_constraints
-    lb = lp.variable_lower_bounds
+    T, basis, art_start = _initial_tableau(lp)
+    phase1 = np.zeros(T.shape[1] - 1)
+    phase1[art_start:] = -1.0
+    _install_objective(T, basis, phase1)
+    outcome, iterations = _iterate(T, basis, MAX_ITERATIONS, lockout_start=art_start)
+    if outcome != "optimal":
+        # Phase 1 is bounded by construction, so anything else is numeric.
+        return LpSolution(SolveStatus.NUMERICAL_FAILURE, iterations=iterations)
+    if T[-1, -1] > FEASIBILITY_TOL:
+        return LpSolution(SolveStatus.INFEASIBLE, iterations=iterations)
 
-    # Shift to x = lb + t, t >= 0, then normalize senses so rhs >= 0.
-    A = lp.constraint_matrix.copy()
-    b = lp.rhs - lp.constraint_matrix @ lb
-    senses = list(lp.constraint_senses)
-    for i in range(m):
-        if b[i] < 0:
-            A[i, :] = -A[i, :]
-            b[i] = -b[i]
-            senses[i] = _FLIPPED[senses[i]]
+    for i in np.flatnonzero(basis >= art_start):
+        pivots = np.flatnonzero(np.abs(T[i, :art_start]) > PIVOT_TOL)
+        if pivots.size:
+            _pivot(T, basis, i, int(pivots[0]))
+    kept = np.flatnonzero(basis < art_start)  # a still-basic artificial: redundant row
+    # One copy drops the artificials and those rows; the rhs takes the first
+    # artificial's place.
+    T[:, art_start] = T[:, -1]
+    T = T[np.append(kept, -1), :art_start + 1]
+    basis = basis[kept]
 
-    slack_rows = [i for i, s in enumerate(senses) if s == LESS_EQUAL]
-    surplus_rows = [i for i, s in enumerate(senses) if s == GREATER_EQUAL]
-    artificial_rows = [i for i, s in enumerate(senses) if s != LESS_EQUAL]
-    n_slack = len(slack_rows) + len(surplus_rows)
-    n_art = len(artificial_rows)
-    total = n + n_slack + n_art
-
-    T = np.zeros((m + 1, total + 1))
-    T[:m, :n] = A
-    T[:m, -1] = b
-    basis = np.full(m, -1, dtype=int)
-    col = n
-    for i in slack_rows:
-        T[i, col] = 1.0
-        basis[i] = col
-        col += 1
-    for i in surplus_rows:
-        T[i, col] = -1.0
-        col += 1
-    art_start = n + n_slack
-    col = art_start
-    for i in artificial_rows:
-        T[i, col] = 1.0
-        basis[i] = col
-        col += 1
-
-    iterations = 0
-    if n_art:
-        phase1 = np.zeros(total)
-        phase1[art_start:] = -1.0
-        _install_objective(T, basis, phase1)
-        outcome, used = _iterate(T, basis, MAX_ITERATIONS,
-                                 lockout_start=art_start)
-        iterations += used
-        if outcome != "optimal":
-            # Phase 1 is bounded by construction, so anything else is numeric.
-            return LpSolution(SolveStatus.NUMERICAL_FAILURE, iterations=iterations)
-        if T[-1, -1] > FEASIBILITY_TOL:
-            return LpSolution(SolveStatus.INFEASIBLE, iterations=iterations)
-
-        keep = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] >= art_start:
-                row = T[i, :art_start]
-                pivots = np.nonzero(np.abs(row) > PIVOT_TOL)[0]
-                if pivots.size:
-                    _pivot(T, basis, i, int(pivots[0]))
-                else:
-                    keep[i] = False  # redundant row
-        if not keep.all():
-            T = np.vstack([T[:m][keep], T[-1:]])
-            basis = basis[keep]
-            m = int(keep.sum())
-        T = np.delete(T, np.s_[art_start:art_start + n_art], axis=1)
-
-    phase2 = np.zeros(T.shape[1] - 1)
-    phase2[:n] = lp.objective
+    phase2 = np.zeros(art_start)
+    phase2[:lp.num_variables] = lp.objective
     _install_objective(T, basis, phase2)
     outcome, used = _iterate(T, basis, MAX_ITERATIONS - iterations)
     iterations += used
@@ -296,9 +281,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     if outcome != "optimal":
         return LpSolution(SolveStatus.NUMERICAL_FAILURE, iterations=iterations)
 
-    shifted = np.zeros(T.shape[1] - 1)
-    shifted[basis] = T[:m, -1]
-    x = lb + shifted[:n]
+    shifted = np.zeros(art_start)
+    shifted[basis] = T[:-1, -1]
+    x = lp.variable_lower_bounds + shifted[:lp.num_variables]
     if _max_violation(lp, x) > FEASIBILITY_TOL:
         return LpSolution(SolveStatus.NUMERICAL_FAILURE, iterations=iterations)
     return LpSolution(

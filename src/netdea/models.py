@@ -36,6 +36,7 @@ from .errors import (
     ConfigurationError,
     DecompositionError,
     DmuSolveError,
+    NetdeaError,
     SolverFailureError,
     ValidationError,
 )
@@ -44,11 +45,10 @@ from .lp_core import EQUAL, LESS_EQUAL, LinearProgram, SolveStatus, solve_lp
 #: |overall - stage1 * stage2| must stay below this on every relational record.
 PRODUCT_IDENTITY_TOL = 1e-6
 
-#: Overall may exceed a fixed stage score by at most this much before the
-#: quotient is rejected instead of clamped.
-QUOTIENT_EXCESS_TOL = 1e-9
-
-_SCORE_EXCESS_TOL = 1e-9
+#: How far a computed score may overshoot its bound by rounding: an LP score
+#: may exceed 1, and overall a fixed stage score, by at most this much; the
+#: result is then clamped, and a larger excess is rejected.
+SCORE_EXCESS_TOL = 1e-9
 
 
 class StagePriority(enum.Enum):
@@ -279,7 +279,7 @@ def _solve(data: Dataset, k: int, cfg: SolverConfig, model: str, families,
     if sol.status is not SolveStatus.OPTIMAL:
         raise SolverFailureError(f"{context}: solver returned {sol.status.value}")
     score = sol.objective_value
-    if not 0.0 < score <= 1.0 + _SCORE_EXCESS_TOL:
+    if not 0.0 < score <= 1.0 + SCORE_EXCESS_TOL:
         raise SolverFailureError(f"{context}: efficiency {score} is outside (0, 1]")
     slots = _slots(families)
     cuts = np.cumsum([system.normalized[slot].shape[1] for slot in slots])[:-1]
@@ -346,14 +346,14 @@ def decompose_efficiency(overall: float, fixed_stage: float) -> float:
     The overall score of the relational model is the exact product of the
     two stage scores, so the free stage equals overall / fixed_stage. A
     quotient above 1 would mean an invalid stage efficiency; it is clamped
-    only when the excess is within QUOTIENT_EXCESS_TOL and rejected
+    only when the excess is within SCORE_EXCESS_TOL and rejected
     otherwise, since a larger excess signals a solver failure upstream.
     """
     if not 0.0 < fixed_stage <= 1.0:
         raise DecompositionError(f"fixed stage score {fixed_stage} is outside (0, 1]")
     if not (np.isfinite(overall) and overall > 0.0):
         raise DecompositionError(f"overall score {overall} must be finite and positive")
-    if overall - fixed_stage > QUOTIENT_EXCESS_TOL:
+    if overall - fixed_stage > SCORE_EXCESS_TOL:
         raise DecompositionError(
             f"overall {overall} exceeds stage score {fixed_stage}; "
             f"the implied other-stage efficiency would be greater than 1"
@@ -399,8 +399,8 @@ def run_full_analysis(data: Dataset, cfg: SolverConfig | None = None):
     Returns (relational_records, ccr_records), each one record per DMU in
     dataset order. Relational records carry the overall score plus the
     stage split chosen by cfg.stage_priority; CCR records carry the
-    whole-process score. The first failing DMU aborts the run with a
-    DmuSolveError naming it.
+    whole-process score. A netdea error of the first failing DMU aborts the
+    run as a DmuSolveError naming it; any other exception propagates as is.
     """
     cfg = cfg or SolverConfig()
     relational = []
@@ -409,8 +409,6 @@ def run_full_analysis(data: Dataset, cfg: SolverConfig | None = None):
         try:
             relational.append(solve_stage_priority(data, k, cfg))
             ccr.append(solve_ccr(data, k, cfg))
-        except DmuSolveError:
-            raise
-        except Exception as exc:
+        except NetdeaError as exc:
             raise DmuSolveError(dmu_id, str(exc)) from exc
     return relational, ccr

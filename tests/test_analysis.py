@@ -245,6 +245,15 @@ class TestBuildReport:
         with pytest.raises(ValidationError, match="stage1"):
             build_report(relational, ccr)
 
+    @pytest.mark.parametrize("relational,ccr", [
+        ([relational_record("A", 0.5, 0.5, 1.0)], [ccr_record("A", 0.6)]),
+        ([], []),
+    ])
+    def test_fewer_than_two_dmus_rejected(self, relational, ccr):
+        with pytest.raises(ValidationError,
+                           match=f"^need at least 2 DMUs, got {len(relational)}$"):
+            build_report(relational, ccr)
+
     def test_report_invariants(self):
         table = RankTable([0.9, 0.5], [1, 2])
         short = RankTable([0.9], [1])

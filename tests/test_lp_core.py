@@ -197,6 +197,36 @@ class TestOracleSweep:
         assert min(statuses.values()) > 0
 
 
+class TestHighsDifferential:
+    def test_matches_highs_on_random_bounded_lps(self):
+        # Real-valued data, nonzero lower bounds and up to 48 rows: beyond
+        # the vertex oracle's reach. The rhs makes a known point feasible and
+        # a box row per variable bounds the LP, so each one is OPTIMAL.
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(20261019)
+        senses_seen = set()
+        for _ in range(200):
+            n, k = int(rng.integers(2, 10)), int(rng.integers(2, 40))
+            A = rng.normal(size=(k, n))
+            senses = rng.choice([LESS_EQUAL, EQUAL, GREATER_EQUAL], size=k, p=[0.5, 0.2, 0.3])
+            le, eq, ge = (senses == sense for sense in (LESS_EQUAL, EQUAL, GREATER_EQUAL))
+            lb = rng.normal(size=n)
+            b = A @ (lb + rng.uniform(0.0, 1.0, n)) + rng.uniform(0.0, 1.0, k) * (le - 1.0 * ge)
+            senses_seen.update(senses)
+            problem = lp(rng.normal(size=n), np.vstack([A, np.eye(n)]),
+                         [*senses, *[LESS_EQUAL] * n], np.r_[b, lb + 2.0], lb)
+            sol = solve_lp(problem)
+            assert sol.status is SolveStatus.OPTIMAL
+            want = optimize.linprog(
+                -problem.objective,
+                A_ub=np.vstack([A[le], -A[ge], np.eye(n)]), b_ub=np.r_[b[le], -b[ge], lb + 2.0],
+                A_eq=A[eq], b_eq=b[eq], bounds=list(zip(lb, [None] * n)), method="highs",
+            )
+            assert want.status == 0
+            assert abs(sol.objective_value + want.fun) <= 1e-9 * max(1.0, abs(want.fun))
+        assert senses_seen == {LESS_EQUAL, EQUAL, GREATER_EQUAL}
+
+
 def reference_max_violation(problem, x):
     """Row-by-row loop that _max_violation replaces; the tests require
     bit-equal results, since the arithmetic is the same per row."""
@@ -275,6 +305,85 @@ class TestMaxViolationReference:
                 points.append(sol.variable_values)
             for x in points:
                 assert _max_violation(problem, x) == reference_max_violation(problem, x)
+
+
+_FLIPPED = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}
+
+
+def reference_initial_tableau(problem):
+    """Per-row loops that _initial_tableau replaces: flip each row with a
+    negative shifted rhs, then place slack, surplus and artificial columns
+    row by row. The tests require byte-equal tableaus."""
+    n, m = problem.num_variables, problem.num_constraints
+    A = problem.constraint_matrix.copy()
+    b = problem.rhs - problem.constraint_matrix @ problem.variable_lower_bounds
+    senses = list(problem.constraint_senses)
+    for i in range(m):
+        if b[i] < 0:
+            A[i, :] = -A[i, :]
+            b[i] = -b[i]
+            senses[i] = _FLIPPED[senses[i]]
+    slack_rows = [i for i, s in enumerate(senses) if s == LESS_EQUAL]
+    surplus_rows = [i for i, s in enumerate(senses) if s == GREATER_EQUAL]
+    artificial_rows = [i for i, s in enumerate(senses) if s != LESS_EQUAL]
+    art_start = n + len(slack_rows) + len(surplus_rows)
+    T = np.zeros((m + 1, art_start + len(artificial_rows) + 1))
+    T[:m, :n] = A
+    T[:m, -1] = b
+    basis = np.full(m, -1, dtype=int)
+    col = n
+    for i in slack_rows:
+        T[i, col] = 1.0
+        basis[i] = col
+        col += 1
+    for i in surplus_rows:
+        T[i, col] = -1.0
+        col += 1
+    for i in artificial_rows:
+        T[i, col] = 1.0
+        basis[i] = col
+        col += 1
+    return T, basis, art_start
+
+
+class TestInitialTableauReference:
+    @staticmethod
+    def _check(problems):
+        flipped = 0
+        for problem in problems:
+            T, basis, art_start = lp_core._initial_tableau(problem)
+            want_T, want_basis, want_art_start = reference_initial_tableau(problem)
+            assert T.shape == want_T.shape
+            # Bytes, not values: a -0.0 where the loops leave +0.0 must fail.
+            assert T.tobytes() == want_T.tobytes()
+            assert basis.tolist() == want_basis.tolist()
+            assert art_start == want_art_start
+            shifted = problem.rhs - problem.constraint_matrix @ problem.variable_lower_bounds
+            flipped += np.count_nonzero(shifted < 0)
+        return flipped
+
+    def test_random_lps_all_senses(self, make_random_lp):
+        rng = np.random.default_rng(20261018)
+        problems = [make_random_lp(rng, max_vars=6, max_constraints=8) for _ in range(300)]
+        assert {s for p in problems for s in p.constraint_senses} == {
+            LESS_EQUAL, EQUAL, GREATER_EQUAL}
+        assert self._check(problems) > 0
+
+    def test_zero_rows_and_no_artificial(self):
+        # Negative rhs turns the >= rows into <= rows with a slack each.
+        problems = [lp([-1.0, -2.0], np.zeros((0, 2)), [], [], lb=[0.5, -1.0]),
+                    lp([], np.zeros((0, 0)), [], []),
+                    lp([1, 1], [[1, 2], [1, 0]], [LESS_EQUAL] * 2, [4, 3]),
+                    lp([-1, 1], [[-1, -2], [1, 0]], [GREATER_EQUAL] * 2, [-4, -3])]
+        self._check(problems)
+        for problem in problems:
+            T, basis, art_start = lp_core._initial_tableau(problem)
+            assert art_start == T.shape[1] - 1  # no artificial column
+            sol = solve_lp(problem)
+            assert sol.status is SolveStatus.OPTIMAL
+
+    def test_bundled_data_lps(self):
+        assert self._check(_bundled_lps()) > 0
 
 
 def reference_pivot(T, basis, row, col):

@@ -293,6 +293,17 @@ class TestErrorPaths:
         assert excinfo.value.dmu_id == table1.dmu_ids[0]
         assert isinstance(excinfo.value.__cause__, SolverFailureError)
 
+    def test_full_analysis_lets_a_bug_surface_as_itself(self, monkeypatch, table1):
+        bug = RuntimeError("bug in solver")
+
+        def broken_solve(problem):
+            raise bug
+
+        monkeypatch.setattr(models, "solve_lp", broken_solve)
+        with pytest.raises(RuntimeError) as excinfo:
+            run_full_analysis(table1)
+        assert excinfo.value is bug
+
 
 class TestRunFullAnalysis:
     def test_record_shapes_and_order(self, table1):

@@ -18,10 +18,10 @@ class DecompositionError(NetdeaError):
 
 
 class DmuSolveError(NetdeaError):
-    """A full-analysis run aborted; carries the id of the DMU that failed."""
+    """A full-analysis run aborted; its message names dmu_id, the DMU that failed."""
 
     def __init__(self, dmu_id: str, message: str):
-        super().__init__(f"DMU {dmu_id}: {message}")
+        super().__init__(message)
         self.dmu_id = dmu_id
 
 

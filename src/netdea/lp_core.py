@@ -15,14 +15,16 @@ LP over n DMUs has up to 3n + 2 rows, 302 at n = 100.
 
 The tableau is built over t = x - lb >= 0, with the rows of negative
 shifted rhs negated. Its columns are the variables, a slack per <= row, a
-surplus per >= row, an artificial per row without a slack (each group in
-row order) and the rhs. Every LP runs phase 1, which drives the
-artificials out: with none it is a zero objective, optimal after 0 pivots.
-
-Every basic column of the tableau is an exact unit vector (a pivot leaves
-its entering column exact: x / x is 1.0 and x - x * 1.0 is +0.0), so the
-pivot row is zero in the other basic columns and a pivot updates only its
-nonzero columns.
+surplus per >= row (each group in row order) and the rhs. Every LP runs
+phase 1 (with no artificial, it ends after 0 pivots). A row without a
+slack starts with an artificial basic: the basis label art_start + i, never
+a column. Every basic column is an exact unit vector, since a pivot leaves
+its entering column exact (x / x is 1.0, x - x * 1.0 is +0.0). So the
+pivot row is zero in the other basic columns, and a pivot updates only its
+nonzero columns, each from itself, the pivot row and the pivot column. An
+artificial column would change no other byte, and no pivot would read it:
+while basic its reduced cost is exactly 0, and once it leaves it may not
+re-enter. So storing the artificials as labels alone is exact.
 """
 
 from __future__ import annotations
@@ -96,9 +98,9 @@ class LinearProgram:
             raise ValueError(f"rhs has shape {rhs.shape}, expected ({m},)")
         if len(senses) != m:
             raise ValueError(f"got {len(senses)} senses for {m} rows")
-        for s in senses:
-            if s not in _SENSES:
-                raise ValueError(f"unknown constraint sense {s!r}")
+        if sum(map(senses.count, _SENSES)) != m:  # tuple.count compares in C
+            unknown = next(s for s in senses if s not in _SENSES)
+            raise ValueError(f"unknown constraint sense {unknown!r}")
         for name, arr in (("objective", obj), ("constraint_matrix", mat),
                           ("rhs", rhs), ("variable_lower_bounds", lb)):
             if not np.all(np.isfinite(arr)):
@@ -134,8 +136,9 @@ class LpSolution:
 
 def _install_objective(T: np.ndarray, basis: np.ndarray, coeffs: np.ndarray) -> None:
     # Objective row stores reduced costs for maximization; the value cell
-    # holds the negated objective of the current basic solution.
-    T[-1, :-1] = coeffs
+    # holds the negated objective of the current basic solution. coeffs is
+    # indexed by basis label, past the stored columns for the artificials.
+    T[-1, :-1] = coeffs[:T.shape[1] - 1]
     T[-1, -1] = 0.0
     rows = np.nonzero(coeffs[basis])[0]  # subtracted in row order, one at a time
     stack = T[np.r_[-1, rows]]
@@ -153,28 +156,23 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _iterate(T: np.ndarray, basis: np.ndarray, budget: int,
-             lockout_start: int | None = None):
+def _iterate(T: np.ndarray, basis: np.ndarray, budget: int):
     """Run simplex pivots until optimality, unboundedness, or exhaustion.
 
     Returns (outcome, iterations) with outcome one of "optimal", "unbounded",
-    "iteration_cap", "small_pivots". Columns at or beyond lockout_start are
-    barred from re-entering the basis once they leave it (used to retire
-    phase-1 artificials for good).
+    "iteration_cap", "small_pivots". Only stored columns can enter, so a
+    basis label past them (a phase-1 artificial) can only leave.
     """
     iterations = 0
     strikes = 0
-    nrows = T.shape[0] - 1
-    barred = np.zeros(T.shape[1] - 1, dtype=bool)
     while True:
-        reduced = T[-1, :-1]
-        improving = np.nonzero((reduced > OPTIMALITY_TOL) & ~barred)[0]
+        improving = np.nonzero(T[-1, :-1] > OPTIMALITY_TOL)[0]
         if improving.size == 0:
             return "optimal", iterations
         if iterations >= budget:
             return "iteration_cap", iterations
         col = int(improving[0])  # Bland: lowest improving index
-        column = T[:nrows, col]
+        column = T[:-1, col]
         # Entries below PIVOT_TOL relative to the column's own magnitude are
         # elimination residue, never real pivots; a column with none above
         # that certifies an unbounded ray.
@@ -195,47 +193,47 @@ def _iterate(T: np.ndarray, basis: np.ndarray, budget: int,
                 return "small_pivots", iterations
         else:
             strikes = 0
-        leaving = basis[row]
-        if lockout_start is not None and leaving >= lockout_start:
-            barred[leaving] = True
         _pivot(T, basis, row, col)
         iterations += 1
 
 
-def _max_violation(lp: LinearProgram, x: np.ndarray) -> float:
+def _sense_masks(lp: LinearProgram) -> tuple:
+    """Boolean masks of lp's <= rows and >= rows; the rest are = rows."""
+    senses = np.array(lp.constraint_senses, dtype=str)
+    return senses == LESS_EQUAL, senses == GREATER_EQUAL
+
+
+def _max_violation(lp: LinearProgram, x: np.ndarray, le: np.ndarray,
+                   ge: np.ndarray) -> float:
     residual = lp.constraint_matrix @ x - lp.rhs
-    senses = np.array(lp.constraint_senses)
-    violation = np.where(senses == GREATER_EQUAL, -residual, residual)
-    violation = np.where(senses == EQUAL, np.abs(residual), violation)
+    violation = np.where(ge, -residual, residual)
+    violation = np.where(le | ge, violation, np.abs(residual))
     worst = float(np.max(violation, initial=0.0))
     bound_gap = float(np.max(lp.variable_lower_bounds - x, initial=0.0))
     return max(worst, bound_gap)
 
 
-def _initial_tableau(lp: LinearProgram):
+def _initial_tableau(lp: LinearProgram, le: np.ndarray, ge: np.ndarray):
     """Phase-1 tableau of lp in the module docstring's column layout, its
-    starting basis (each row's slack or artificial) and the first artificial
-    column. A negated row's sense flips, so every rhs is >= 0."""
+    starting basis (each row's slack, else the next artificial label) and
+    art_start. A negated row's sense flips, so every rhs is >= 0."""
     n, m = lp.num_variables, lp.num_constraints
     A = lp.constraint_matrix
     Ab = np.column_stack((A, lp.rhs - A @ lp.variable_lower_bounds))
     flip = Ab[:, -1] < 0
     np.negative(Ab, out=Ab, where=flip[:, None])
-    senses = np.array(lp.constraint_senses, dtype=str)
-    le, ge = senses == LESS_EQUAL, senses == GREATER_EQUAL
     slack, surplus = np.where(flip, ge, le), np.where(flip, le, ge)  # <= and >= rows
     slack_rows, surplus_rows = slack.nonzero()[0], surplus.nonzero()[0]
     art_rows = (~slack).nonzero()[0]
     art_start = n + slack_rows.size + surplus_rows.size
     slack_cols = np.arange(n, n + slack_rows.size)
-    art_cols = np.arange(art_start, art_start + art_rows.size)
-    T = np.zeros((m + 1, art_start + art_rows.size + 1))
+    T = np.zeros((m + 1, art_start + 1))
     T[:m, :n], T[:m, -1] = Ab[:, :n], Ab[:, -1]
     T[slack_rows, slack_cols] = 1.0
     T[surplus_rows, np.arange(n + slack_rows.size, art_start)] = -1.0
-    T[art_rows, art_cols] = 1.0
     basis = np.empty(m, dtype=int)
-    basis[slack_rows], basis[art_rows] = slack_cols, art_cols
+    basis[slack_rows] = slack_cols
+    basis[art_rows] = np.arange(art_start, art_start + art_rows.size)
     return T, basis, art_start
 
 
@@ -249,11 +247,12 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     feasibility check); callers must surface it rather than substitute a
     value.
     """
-    T, basis, art_start = _initial_tableau(lp)
-    phase1 = np.zeros(T.shape[1] - 1)
-    phase1[art_start:] = -1.0
+    le, ge = _sense_masks(lp)
+    T, basis, art_start = _initial_tableau(lp, le, ge)
+    phase1 = np.zeros(art_start + lp.num_constraints)
+    phase1[art_start:] = -1.0  # cost of each artificial label
     _install_objective(T, basis, phase1)
-    outcome, iterations = _iterate(T, basis, MAX_ITERATIONS, lockout_start=art_start)
+    outcome, iterations = _iterate(T, basis, MAX_ITERATIONS)
     if outcome != "optimal":
         # Phase 1 is bounded by construction, so anything else is numeric.
         return LpSolution(SolveStatus.NUMERICAL_FAILURE, iterations=iterations)
@@ -261,14 +260,11 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         return LpSolution(SolveStatus.INFEASIBLE, iterations=iterations)
 
     for i in np.flatnonzero(basis >= art_start):
-        pivots = np.flatnonzero(np.abs(T[i, :art_start]) > PIVOT_TOL)
+        pivots = np.flatnonzero(np.abs(T[i, :-1]) > PIVOT_TOL)
         if pivots.size:
             _pivot(T, basis, i, int(pivots[0]))
     kept = np.flatnonzero(basis < art_start)  # a still-basic artificial: redundant row
-    # One copy drops the artificials and those rows; the rhs takes the first
-    # artificial's place.
-    T[:, art_start] = T[:, -1]
-    T = T[np.append(kept, -1), :art_start + 1]
+    T = T[np.append(kept, -1)]
     basis = basis[kept]
 
     phase2 = np.zeros(art_start)
@@ -284,7 +280,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     shifted = np.zeros(art_start)
     shifted[basis] = T[:-1, -1]
     x = lp.variable_lower_bounds + shifted[:lp.num_variables]
-    if _max_violation(lp, x) > FEASIBILITY_TOL:
+    if _max_violation(lp, x, le, ge) > FEASIBILITY_TOL:
         return LpSolution(SolveStatus.NUMERICAL_FAILURE, iterations=iterations)
     return LpSolution(
         SolveStatus.OPTIMAL,

@@ -382,7 +382,10 @@ def solve_stage_priority(data: Dataset, k: int,
         data, k, cfg, "stage-priority", _FAMILIES, objective="w" if first else "v",
         normalization="u" if first else "w", pinned_overall=overall,
     )
-    free = decompose_efficiency(overall, fixed)
+    try:
+        free = decompose_efficiency(overall, fixed)
+    except DecompositionError as exc:
+        raise DecompositionError(f"stage-priority model for DMU {dmu}: {exc}") from exc
     stage1, stage2 = (fixed, free) if first else (free, fixed)
     return EfficiencyRecord(
         dmu_id=dmu,

@@ -112,7 +112,7 @@ def random_dataset(rng: np.random.Generator, n: int | None = None,
                    m: int | None = None, p: int | None = None,
                    s: int | None = None, plant_efficient: bool = False) -> Dataset:
     """Random strictly positive dataset with n <= 10 DMUs and up to 3
-    columns per role.
+    columns per role, unless n, m, p or s is given.
 
     With plant_efficient the first DMU is made to dominate every other in
     both stages (half the inputs, top intermediates within a factor 2 of

@@ -187,7 +187,7 @@ class TestErrorPaths:
         code, _, err = run_cli(
             ["solve", "--data", BUNDLED, "--epsilon", "0.5"], capsys)
         assert code == EXIT_SOLVER
-        assert err == ("netdea: DMU D1: relational model for DMU D1: LP infeasible; "
+        assert err == ("netdea: relational model for DMU D1: LP infeasible; "
                        "epsilon=0.5 is too large for the normalized data\n")
 
     def test_epsilon_out_of_range_is_usage_error(self, capsys):

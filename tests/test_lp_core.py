@@ -18,8 +18,15 @@ from netdea.lp_core import (
     EQUAL,
     GREATER_EQUAL,
     LESS_EQUAL,
+    FEASIBILITY_TOL,
+    MAX_ITERATIONS,
+    OPTIMALITY_TOL,
+    PIVOT_TOL,
+    LpSolution,
     SolveStatus,
+    _as_readonly,
     _max_violation,
+    _sense_masks,
 )
 from netdea.models import _FAMILIES
 
@@ -49,6 +56,9 @@ class TestValidation:
     def test_bad_sense_rejected(self):
         with pytest.raises(ValueError, match="sense"):
             lp([1], [[1]], ["<"], [1])
+        # The message names the first unknown sense in row order.
+        with pytest.raises(ValueError, match="unknown constraint sense '=>'"):
+            lp([1], [[1], [1], [1]], [LESS_EQUAL, "=>", "=="], [1, 1, 1])
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -289,11 +299,13 @@ class TestMaxViolationReference:
             senses_seen.update(problem.constraint_senses)
             for x in (rng.normal(0.0, 3.0, problem.num_variables),
                       problem.variable_lower_bounds.copy()):
-                assert _max_violation(problem, x) == reference_max_violation(problem, x)
+                assert (_max_violation(problem, x, *_sense_masks(problem))
+                        == reference_max_violation(problem, x))
             sol = solve_lp(problem)
             if sol.status is SolveStatus.OPTIMAL:
                 x = sol.variable_values
-                assert _max_violation(problem, x) == reference_max_violation(problem, x)
+                assert (_max_violation(problem, x, *_sense_masks(problem))
+                        == reference_max_violation(problem, x))
         assert senses_seen == {LESS_EQUAL, EQUAL, GREATER_EQUAL}
 
     def test_bundled_data_lps(self):
@@ -304,7 +316,8 @@ class TestMaxViolationReference:
             if sol.status is SolveStatus.OPTIMAL:
                 points.append(sol.variable_values)
             for x in points:
-                assert _max_violation(problem, x) == reference_max_violation(problem, x)
+                assert (_max_violation(problem, x, *_sense_masks(problem))
+                        == reference_max_violation(problem, x))
 
 
 _FLIPPED = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}
@@ -313,7 +326,8 @@ _FLIPPED = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}
 def reference_initial_tableau(problem):
     """Per-row loops that _initial_tableau replaces: flip each row with a
     negative shifted rhs, then place slack, surplus and artificial columns
-    row by row. The tests require byte-equal tableaus."""
+    row by row. _initial_tableau stores no artificial column; the tests
+    require its tableau to equal this one without them, byte for byte."""
     n, m = problem.num_variables, problem.num_constraints
     A = problem.constraint_matrix.copy()
     b = problem.rhs - problem.constraint_matrix @ problem.variable_lower_bounds
@@ -351,8 +365,9 @@ class TestInitialTableauReference:
     def _check(problems):
         flipped = 0
         for problem in problems:
-            T, basis, art_start = lp_core._initial_tableau(problem)
+            T, basis, art_start = lp_core._initial_tableau(problem, *_sense_masks(problem))
             want_T, want_basis, want_art_start = reference_initial_tableau(problem)
+            want_T = want_T[:, np.r_[:want_art_start, -1]]  # without the artificials
             assert T.shape == want_T.shape
             # Bytes, not values: a -0.0 where the loops leave +0.0 must fail.
             assert T.tobytes() == want_T.tobytes()
@@ -377,8 +392,9 @@ class TestInitialTableauReference:
                     lp([-1, 1], [[-1, -2], [1, 0]], [GREATER_EQUAL] * 2, [-4, -3])]
         self._check(problems)
         for problem in problems:
-            T, basis, art_start = lp_core._initial_tableau(problem)
-            assert art_start == T.shape[1] - 1  # no artificial column
+            T, basis, art_start = lp_core._initial_tableau(problem, *_sense_masks(problem))
+            assert art_start == T.shape[1] - 1  # the rhs follows the last surplus
+            assert np.all(basis < art_start)  # no artificial label
             sol = solve_lp(problem)
             assert sol.status is SolveStatus.OPTIMAL
 
@@ -400,14 +416,16 @@ def reference_pivot(T, basis, row, col):
 
 
 def unit_column_checked(kernel):
-    """Wrap a pivot kernel to assert, after every pivot, that each basic
-    column is an exact unit vector (zero in the objective row too): the
-    invariant that lets _pivot skip the pivot row's zero columns."""
+    """Wrap a pivot kernel to assert, after every pivot, that each stored
+    basic column (every one but an artificial's) is an exact unit vector
+    (zero in the objective row too): the invariant that lets _pivot skip
+    the pivot row's zero columns."""
     def pivot(T, basis, row, col):
         kernel(T, basis, row, col)
         unit = np.zeros((T.shape[0], basis.size))
         unit[np.arange(basis.size), np.arange(basis.size)] = 1.0
-        assert np.array_equal(T[:, basis], unit)
+        stored = basis < T.shape[1] - 1
+        assert np.array_equal(T[:, basis[stored]], unit[:, stored])
     return pivot
 
 
@@ -434,11 +452,13 @@ def _solve_with(monkeypatch, kernel, problem):
 
 def reference_install_objective(T, basis, coeffs):
     """Row loop that _install_objective replaces with one reduction over
-    the same rows in the same order; the tests require bit-equal tableaus."""
-    T[-1, :-1] = coeffs
+    the same rows in the same order; the tests require bit-equal tableaus.
+    coeffs is indexed by basis label and may run past the stored columns
+    (into the phase-1 artificials)."""
+    T[-1, :-1] = coeffs[:T.shape[1] - 1]
     T[-1, -1] = 0.0
     for i, b in enumerate(basis):
-        coef = T[-1, b]
+        coef = coeffs[b]
         if coef != 0.0:
             T[-1, :] -= coef * T[i, :]
 
@@ -491,3 +511,96 @@ class TestPivotKernelReference:
         monkeypatch.setattr(models, "solve_lp", counting_solve)
         run_full_analysis(table1, SolverConfig(stage_priority=priority))
         assert sum(iterations) == pivots
+
+
+def reference_iterate(T, basis, budget, lockout_start=None):
+    """_iterate as it was while the artificials were tableau columns: a
+    barred mask keeps each column at or past lockout_start from re-entering
+    once it leaves."""
+    iterations = 0
+    strikes = 0
+    nrows = T.shape[0] - 1
+    barred = np.zeros(T.shape[1] - 1, dtype=bool)
+    while True:
+        improving = np.nonzero((T[-1, :-1] > OPTIMALITY_TOL) & ~barred)[0]
+        if improving.size == 0:
+            return "optimal", iterations
+        if iterations >= budget:
+            return "iteration_cap", iterations
+        col = int(improving[0])
+        column = T[:nrows, col]
+        threshold = PIVOT_TOL * float(np.abs(column).max(initial=1.0))
+        candidates = np.nonzero(column > threshold)[0]
+        if candidates.size == 0:
+            return "unbounded", iterations
+        ratios = np.maximum(T[candidates, -1], 0.0) / column[candidates]
+        best = ratios.min()
+        tied = candidates[ratios <= best + 1e-12 * max(1.0, abs(best))]
+        row = int(tied[np.argmin(basis[tied])])
+        if column[row] < 1e3 * threshold:
+            strikes += 1
+            if strikes >= lp_core._SMALL_PIVOT_STRIKE_LIMIT:
+                return "small_pivots", iterations
+        else:
+            strikes = 0
+        leaving = basis[row]
+        if lockout_start is not None and leaving >= lockout_start:
+            barred[leaving] = True
+        lp_core._pivot(T, basis, row, col)
+        iterations += 1
+
+
+def reference_solve_lp(problem):
+    """solve_lp with an artificial column per row without a slack: phase 1
+    on reference_initial_tableau's tableau under a lockout, then one copy
+    that moves the rhs into the first artificial column and slices the
+    artificials off before phase 2."""
+    T, basis, art_start = reference_initial_tableau(problem)
+    phase1 = np.zeros(T.shape[1] - 1)
+    phase1[art_start:] = -1.0
+    reference_install_objective(T, basis, phase1)
+    outcome, iterations = reference_iterate(T, basis, MAX_ITERATIONS, lockout_start=art_start)
+    if outcome != "optimal":
+        return LpSolution(SolveStatus.NUMERICAL_FAILURE, iterations=iterations)
+    if T[-1, -1] > FEASIBILITY_TOL:
+        return LpSolution(SolveStatus.INFEASIBLE, iterations=iterations)
+    for i in np.flatnonzero(basis >= art_start):
+        pivots = np.flatnonzero(np.abs(T[i, :art_start]) > PIVOT_TOL)
+        if pivots.size:
+            lp_core._pivot(T, basis, i, int(pivots[0]))
+    kept = np.flatnonzero(basis < art_start)
+    T[:, art_start] = T[:, -1]
+    T = T[np.append(kept, -1), :art_start + 1]
+    basis = basis[kept]
+    phase2 = np.zeros(art_start)
+    phase2[:problem.num_variables] = problem.objective
+    reference_install_objective(T, basis, phase2)
+    outcome, used = reference_iterate(T, basis, MAX_ITERATIONS - iterations)
+    iterations += used
+    if outcome == "unbounded":
+        return LpSolution(SolveStatus.UNBOUNDED, iterations=iterations)
+    if outcome != "optimal":
+        return LpSolution(SolveStatus.NUMERICAL_FAILURE, iterations=iterations)
+    shifted = np.zeros(art_start)
+    shifted[basis] = T[:-1, -1]
+    x = problem.variable_lower_bounds + shifted[:problem.num_variables]
+    if reference_max_violation(problem, x) > FEASIBILITY_TOL:
+        return LpSolution(SolveStatus.NUMERICAL_FAILURE, iterations=iterations)
+    return LpSolution(SolveStatus.OPTIMAL, objective_value=float(problem.objective @ x),
+                      variable_values=_as_readonly(x), iterations=iterations)
+
+
+class TestArtificialColumnReference:
+    def test_same_solves_as_with_artificial_columns(self, make_random_lp):
+        # Storing the artificials as basis labels only must change no pivot
+        # and no byte of any result.
+        statuses, with_artificials = set(), 0
+        for problem in _kernel_cases(make_random_lp):
+            want = reference_solve_lp(problem)
+            assert_same_solve(solve_lp(problem), want)
+            statuses.add(want.status)
+            T, _, art_start = reference_initial_tableau(problem)
+            with_artificials += T.shape[1] - 1 > art_start
+        assert statuses == {SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE,
+                            SolveStatus.UNBOUNDED}
+        assert with_artificials > 100

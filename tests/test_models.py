@@ -14,10 +14,13 @@ import pytest
 from netdea import (
     Dataset,
     EfficiencyRecord,
+    LinearProgram,
     SolverConfig,
     StagePriority,
+    build_report,
     bundled_dataset_path,
     load_dataset,
+    render_report,
     run_full_analysis,
     solve_ccr,
     solve_lp,
@@ -34,7 +37,7 @@ from netdea.errors import (
     ValidationError,
 )
 from netdea.lp_core import EQUAL, LESS_EQUAL, LpSolution, SolveStatus
-from netdea.models import _FAMILIES, decompose_efficiency
+from netdea.models import PRODUCT_IDENTITY_TOL, _FAMILIES, decompose_efficiency
 
 #: epsilon small enough that scores match the epsilon-free closed forms
 TINY_EPS = SolverConfig(epsilon=1e-8)
@@ -293,6 +296,26 @@ class TestErrorPaths:
         assert excinfo.value.dmu_id == table1.dmu_ids[0]
         assert isinstance(excinfo.value.__cause__, SolverFailureError)
 
+    def test_quotient_rejection_names_the_dmu_once(self, monkeypatch, table1):
+        # Shrinking the pinned LP's objective makes its stage score fall below
+        # the overall score, so decompose_efficiency rejects the quotient.
+        def solve(problem):
+            if problem.constraint_senses.count(EQUAL) == 2:
+                problem = LinearProgram(problem.objective * 1e-3, problem.constraint_matrix,
+                                        problem.constraint_senses, problem.rhs,
+                                        problem.variable_lower_bounds)
+            return solve_lp(problem)
+
+        monkeypatch.setattr(models, "solve_lp", solve)
+        with pytest.raises(DmuSolveError) as excinfo:
+            run_full_analysis(table1)
+        dmu = table1.dmu_ids[0]
+        message = str(excinfo.value)
+        assert excinfo.value.dmu_id == dmu
+        assert isinstance(excinfo.value.__cause__, DecompositionError)
+        assert message.startswith(f"stage-priority model for DMU {dmu}: overall ")
+        assert message.count(f"DMU {dmu}") == 1
+
     def test_full_analysis_lets_a_bug_surface_as_itself(self, monkeypatch, table1):
         bug = RuntimeError("bug in solver")
 
@@ -306,6 +329,27 @@ class TestErrorPaths:
 
 
 class TestRunFullAnalysis:
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (3, 1, 1)])
+    def test_invariants_at_n100(self, make_random_dataset, shape):
+        # The paper's invariants at the benchmarked size: the product
+        # identity, overall <= CCR, and units invariance. A power-of-two unit
+        # per column leaves the normalized LPs bit-identical, so the scaled
+        # run must also render the same json bytes, which covers a rerun.
+        rng = np.random.default_rng(100 + shape[1])
+        data = make_random_dataset(rng, 100, *shape)
+        cfg = SolverConfig()
+        relational, ccr = run_full_analysis(data, cfg)
+        for rel, whole in zip(relational, ccr):
+            assert abs(rel.overall - rel.stage1 * rel.stage2) <= PRODUCT_IDENTITY_TOL
+            assert rel.overall <= whole.overall + 1e-9
+        scaled = Dataset(data.dmu_ids, data.dmu_names,
+                         *(M * 2.0 ** rng.integers(-20, 21, M.shape[1])
+                           for M in (data.X, data.Z, data.Y)))
+        assert not np.array_equal(scaled.X, data.X)
+        want = render_report(build_report(relational, ccr, cfg), "json")
+        got = render_report(build_report(*run_full_analysis(scaled, cfg), cfg), "json")
+        assert got == want
+
     def test_record_shapes_and_order(self, table1):
         relational, ccr = run_full_analysis(table1)
         assert [r.dmu_id for r in relational] == list(table1.dmu_ids)

@@ -188,12 +188,15 @@ def _display_score(value: float) -> str:
 
 
 def _normalize_sections(sections) -> tuple:
-    picked = tuple(s for s in _SECTIONS if s in tuple(sections))
-    if not picked:
-        raise ValueError(f"sections must include at least one of {_SECTIONS}")
+    if isinstance(sections, str):
+        raise ValueError(f"sections must be a sequence of names, not the string {sections!r}")
+    sections = tuple(sections)
     unknown = set(sections) - set(_SECTIONS)
     if unknown:
         raise ValueError(f"unknown report sections: {sorted(unknown)}")
+    picked = tuple(s for s in _SECTIONS if s in sections)
+    if not picked:
+        raise ValueError(f"sections must include at least one of {_SECTIONS}")
     return picked
 
 

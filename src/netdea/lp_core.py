@@ -11,7 +11,7 @@ pivoting rule is used throughout, which guarantees termination on the
 degenerate programs that multiplier-form DEA produces. All storage is
 dense. The programs built by this package have one column per multiplier
 weight, usually a handful, and one row per ratio constraint: a relational
-LP over n DMUs has up to 3n + 2 rows, 302 at n = 100.
+LP over n DMUs has up to 2n + 2 rows, 202 at n = 100.
 
 The tableau is built over t = x - lb >= 0, with the rows of negative
 shifted rhs negated. Its columns are the variables, a slack per <= row, a

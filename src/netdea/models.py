@@ -19,8 +19,9 @@ Every weight is bounded below by a small epsilon so no factor can be
 ignored. Because epsilon interacts with the scale of the data, each column
 of X, Z, Y is divided by its maximum (the ratio models are units-invariant,
 so scores are unaffected); reported multipliers refer to the normalized
-problem. This normalization and the 3n ratio rows the LPs share are built
-once per dataset, on its first solve, not once per LP.
+problem. This normalization and the ratio rows the LPs share are built
+once per dataset, on its first solve, not once per LP. The relational LPs
+hold 2n ratio rows: the stage rows imply the n whole-process rows.
 """
 
 from __future__ import annotations
@@ -194,21 +195,20 @@ class EfficiencyRecord:
                 )
 
 
-#: Ratio families as (input slot, output slot), in row order: the whole
-#: process, the first stage and the second stage. Family (a, b) holds
-#: b_j . t_b - a_j . t_a <= 0 for every DMU j, where the weight slots are
-#: u (on X), w (on Z) and v (on Y).
-_FAMILIES = (("u", "v"), ("u", "w"), ("w", "v"))
-
-
-def _slots(families) -> list:
-    return [slot for slot in "uwv" if any(slot in family for family in families)]
+#: Each stage's chain of weight slots: u on X, w on Z and v on Y.
+_STAGE_SLOTS = {StagePriority.FIRST_STAGE: "uw", StagePriority.SECOND_STAGE: "wv"}
 
 
 class _LpSystem:
     """The LP data every model of one Dataset shares, built once: X, Z and Y
-    divided by their column maxima, keyed by weight slot, and the 3n ratio
-    rows of _FAMILIES over the variables [u | w | v], all read-only.
+    divided by their column maxima, keyed by weight slot, and for each link
+    ab of "uv", "uw" and "wv" the n ratio rows b_j . t_b - a_j . t_a <= 0
+    over the variables [u | w | v], all read-only.
+
+    A model LP links the consecutive slots of its chain: "uv" (CCR), "uw" or
+    "wv" (one stage) or "uwv" (relational). So the relational LP has no
+    whole-process row y_j.v - x_j.u <= 0: it is the sum of DMU j's two stage
+    rows, which imply it (Kao & Hwang 2008, EJOR 185).
     """
 
     def __init__(self, data: Dataset):
@@ -216,34 +216,34 @@ class _LpSystem:
         self.normalized = {slot: mat / mat.max(axis=0) for slot, mat in zip("uwv", mats)}
         edges = np.cumsum([0] + [mat.shape[1] for mat in mats])
         self.columns = {slot: slice(*edges[i:i + 2]) for i, slot in enumerate("uwv")}
-        n = data.n
-        self.ratio_rows = np.zeros((3 * n, edges[-1]))
-        for i, (inputs, outputs) in enumerate(_FAMILIES):
-            block = self.ratio_rows[i * n:(i + 1) * n]
-            block[:, self.columns[inputs]] = -self.normalized[inputs]
-            block[:, self.columns[outputs]] = self.normalized[outputs]
-        for arr in (*self.normalized.values(), self.ratio_rows):
+        self.ratio_rows = {}
+        for a, b in ("uv", "uw", "wv"):
+            rows = self.ratio_rows[a + b] = np.zeros((data.n, edges[-1]))
+            rows[:, self.columns[a]] = -self.normalized[a]
+            rows[:, self.columns[b]] = self.normalized[b]
+        for arr in (*self.normalized.values(), *self.ratio_rows.values()):
             arr.setflags(write=False)
 
-    def lp(self, k: int, families, objective: str, normalization: str,
-           epsilon: float, pinned_overall: float | None = None) -> LinearProgram:
-        """DMU k's LP over the weights t of the slots families use, in
-        [u | w | v] order: maximize DMU k's weighted sum in the objective
-        slot subject to its weighted sum in the normalization slot = 1,
-        y_k.v = pinned_overall * x_k.u when pinned, the ratio rows of
-        families <= 0, and t >= epsilon.
+    def lp(self, k: int, chain: str, scored: str, epsilon: float,
+           pinned_overall: float | None = None) -> LinearProgram:
+        """DMU k's LP over the weights t of the chain's slots, in [u | w | v]
+        order. With scored = (a, b): maximize DMU k's weighted sum in slot b
+        subject to its weighted sum in slot a = 1, y_k.v = pinned_overall *
+        x_k.u when pinned, the ratio rows of the chain's links in chain
+        order <= 0, and t >= epsilon.
         """
         norm, cols = self.normalized, self.columns
-        top = np.zeros((2 if pinned_overall is None else 3, self.ratio_rows.shape[1]))
+        normalization, objective = scored
+        top = np.zeros((2 if pinned_overall is None else 3, cols["v"].stop))
         top[0, cols[objective]] = norm[objective][k]
         top[1, cols[normalization]] = norm[normalization][k]
         if pinned_overall is not None:
             top[2, cols["u"]] = -pinned_overall * norm["u"][k]
             top[2, cols["v"]] = norm["v"][k]
-        n, eqs = len(norm["u"]), len(top) - 1
-        blocks = [self.ratio_rows[i * n:(i + 1) * n] for i in map(_FAMILIES.index, families)]
-        used = np.r_[tuple(cols[slot] for slot in _slots(families))]
-        matrix = np.vstack([top[1:], *blocks])[:, used]
+        eqs = len(top) - 1
+        links = [self.ratio_rows[a + b] for a, b in zip(chain, chain[1:])]
+        used = np.r_[tuple(cols[slot] for slot in chain)]
+        matrix = np.vstack([top[1:], *links])[:, used]
         return LinearProgram(
             objective=top[0, used],
             constraint_matrix=matrix,
@@ -253,10 +253,10 @@ class _LpSystem:
         )
 
 
-def _solve(data: Dataset, k: int, cfg: SolverConfig, model: str, families,
-           objective: str, normalization: str,
-           pinned_overall: float | None = None) -> tuple:
-    """Solve DMU k's LP that _LpSystem.lp builds from these arguments.
+def _solve(data: Dataset, k: int, cfg: SolverConfig, model: str, chain: str,
+           scored: str | None = None, pinned_overall: float | None = None) -> tuple:
+    """Solve DMU k's LP that _LpSystem.lp builds from these arguments; scored
+    defaults to the chain's ends.
 
     Returns (dmu_id, clamped optimum, weights by slot). An infeasible LP is
     a ConfigurationError (epsilon too large) unless the overall score is
@@ -269,7 +269,7 @@ def _solve(data: Dataset, k: int, cfg: SolverConfig, model: str, families,
     dmu = data.dmu_ids[k]
     context = f"{model} model for DMU {dmu}"
     system = data._lp_system
-    sol = solve_lp(system.lp(k, families, objective, normalization, cfg.epsilon,
+    sol = solve_lp(system.lp(k, chain, scored or chain[0] + chain[-1], cfg.epsilon,
                              pinned_overall))
     if sol.status is SolveStatus.INFEASIBLE and pinned_overall is None:
         raise ConfigurationError(
@@ -281,9 +281,8 @@ def _solve(data: Dataset, k: int, cfg: SolverConfig, model: str, families,
     score = sol.objective_value
     if not 0.0 < score <= 1.0 + SCORE_EXCESS_TOL:
         raise SolverFailureError(f"{context}: efficiency {score} is outside (0, 1]")
-    slots = _slots(families)
-    cuts = np.cumsum([system.normalized[slot].shape[1] for slot in slots])[:-1]
-    weights = dict(zip(slots, np.split(sol.variable_values, cuts)))
+    cuts = np.cumsum([system.normalized[slot].shape[1] for slot in chain])[:-1]
+    weights = dict(zip(chain, np.split(sol.variable_values, cuts)))
     return dmu, min(float(score), 1.0), Multipliers(**weights)
 
 
@@ -301,8 +300,7 @@ def solve_ccr(data: Dataset, k: int,
     exceeds 1. Raises ConfigurationError when epsilon makes the LP
     infeasible; numerical failures propagate as SolverFailureError.
     """
-    dmu, score, weights = _solve(data, k, cfg or SolverConfig(), "CCR", (("u", "v"),),
-                                 objective="v", normalization="u")
+    dmu, score, weights = _solve(data, k, cfg or SolverConfig(), "CCR", "uv")
     return EfficiencyRecord(dmu_id=dmu, overall=score, multipliers=weights)
 
 
@@ -314,11 +312,9 @@ def solve_stage_independent(data: Dataset, k: int, stage: StagePriority,
     SECOND_STAGE treats them as the inputs (Z -> Y). The score lands in the
     matching stage slot of the record; overall stays unset.
     """
-    first = StagePriority(stage) is StagePriority.FIRST_STAGE
-    inputs, outputs = ("u", "w") if first else ("w", "v")
-    dmu, score, weights = _solve(data, k, cfg or SolverConfig(), "CCR",
-                                 ((inputs, outputs),), objective=outputs,
-                                 normalization=inputs)
+    stage = StagePriority(stage)
+    dmu, score, weights = _solve(data, k, cfg or SolverConfig(), "CCR", _STAGE_SLOTS[stage])
+    first = stage is StagePriority.FIRST_STAGE
     return EfficiencyRecord(
         dmu_id=dmu,
         stage1=score if first else None,
@@ -331,13 +327,14 @@ def solve_relational_overall(data: Dataset, k: int,
                              cfg: SolverConfig | None = None) -> float:
     """Overall efficiency of DMU k under the relational two-stage model.
 
-    On top of the CCR ratio constraints, the LP carries the first-stage
-    (z.w vs x.u) and second-stage (y.v vs z.w) ratio constraints for every
-    DMU, with one shared weight vector w on the intermediates. The optimum
-    never exceeds the plain CCR score and factors into stage efficiencies.
+    The LP carries the first-stage (z.w vs x.u) and second-stage (y.v vs
+    z.w) ratio constraints for every DMU, with one shared weight vector w
+    on the intermediates. They sum to the CCR ratio constraints (y.v vs
+    x.u), which they thus imply (Kao & Hwang 2008, EJOR 185), so the
+    optimum never exceeds the plain CCR score; it factors into stage
+    efficiencies.
     """
-    return _solve(data, k, cfg or SolverConfig(), "relational", _FAMILIES,
-                  objective="v", normalization="u")[1]
+    return _solve(data, k, cfg or SolverConfig(), "relational", "uwv")[1]
 
 
 def decompose_efficiency(overall: float, fixed_stage: float) -> float:
@@ -377,15 +374,13 @@ def solve_stage_priority(data: Dataset, k: int,
     """
     cfg = cfg or SolverConfig()
     overall = solve_relational_overall(data, k, cfg)
-    first = cfg.stage_priority is StagePriority.FIRST_STAGE
-    dmu, fixed, weights = _solve(
-        data, k, cfg, "stage-priority", _FAMILIES, objective="w" if first else "v",
-        normalization="u" if first else "w", pinned_overall=overall,
-    )
+    dmu, fixed, weights = _solve(data, k, cfg, "stage-priority", "uwv",
+                                 _STAGE_SLOTS[cfg.stage_priority], pinned_overall=overall)
     try:
         free = decompose_efficiency(overall, fixed)
     except DecompositionError as exc:
         raise DecompositionError(f"stage-priority model for DMU {dmu}: {exc}") from exc
+    first = cfg.stage_priority is StagePriority.FIRST_STAGE
     stage1, stage2 = (fixed, free) if first else (free, fixed)
     return EfficiencyRecord(
         dmu_id=dmu,

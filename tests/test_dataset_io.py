@@ -236,5 +236,15 @@ class TestRenderValidation:
             render_report(small_report(), "yaml")
 
     def test_unknown_section(self):
-        with pytest.raises(ValueError, match="sections"):
+        # Named as unknown, not reported as an empty selection.
+        with pytest.raises(ValueError, match=r"unknown report sections: \['bogus'\]"):
             render_report(small_report(), "table", sections=("bogus",))
+
+    def test_bare_string_sections(self):
+        # A string is a sequence of letters, not of section names.
+        with pytest.raises(ValueError, match="not the string 'ccr'"):
+            render_report(small_report(), "table", sections="ccr")
+
+    def test_empty_sections(self):
+        with pytest.raises(ValueError, match="at least one of"):
+            render_report(small_report(), "table", sections=())

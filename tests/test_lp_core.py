@@ -28,7 +28,6 @@ from netdea.lp_core import (
     _max_violation,
     _sense_masks,
 )
-from netdea.models import _FAMILIES
 
 
 def lp(c, A, senses, b, lb=None):
@@ -262,11 +261,11 @@ def _bundled_lps():
     system = data._lp_system
     for k in range(data.n):
         overall = solve_relational_overall(data, k)
-        yield system.lp(k, (("u", "v"),), "v", "u", 1e-6)
-        yield system.lp(k, _FAMILIES, "v", "u", 1e-6)
-        yield system.lp(k, _FAMILIES, "v", "w", 1e-6, pinned_overall=0.5)
-        yield system.lp(k, _FAMILIES, "w", "u", 1e-6, pinned_overall=overall)
-        yield system.lp(k, _FAMILIES, "v", "w", 1e-6, pinned_overall=overall)
+        yield system.lp(k, "uv", "uv", 1e-6)
+        yield system.lp(k, "uwv", "uv", 1e-6)
+        yield system.lp(k, "uwv", "wv", 1e-6, pinned_overall=0.5)
+        yield system.lp(k, "uwv", "uw", 1e-6, pinned_overall=overall)
+        yield system.lp(k, "uwv", "wv", 1e-6, pinned_overall=overall)
 
 
 def assert_same_solve(got, want):

@@ -37,7 +37,7 @@ from netdea.errors import (
     ValidationError,
 )
 from netdea.lp_core import EQUAL, LESS_EQUAL, LpSolution, SolveStatus
-from netdea.models import PRODUCT_IDENTITY_TOL, _FAMILIES, decompose_efficiency
+from netdea.models import PRODUCT_IDENTITY_TOL, decompose_efficiency
 
 #: epsilon small enough that scores match the epsilon-free closed forms
 TINY_EPS = SolverConfig(epsilon=1e-8)
@@ -51,6 +51,23 @@ def single_column_dataset(rng, n):
     data = Dataset(dmu_ids=ids, dmu_names=ids,
                    X=x[:, None], Z=z[:, None], Y=y[:, None])
     return data, x, z, y
+
+
+def half_on_frontier_dataset(rng, n):
+    """3/1/1 data with every second DMU exactly on both stage frontiers,
+    built as perfbench's generate.half_on_frontier builds it: with weights
+    u, w, v fixed, z = x.u / w and y = z.w / v put a DMU at ratio 1 in both
+    stages, and the other DMUs are shrunk below the frontier."""
+    X = rng.lognormal(0.0, 0.5, (n, 3))
+    u = rng.uniform(0.5, 1.5, 3)
+    w, v = rng.uniform(0.5, 1.5, 2)
+    on = np.arange(n) % 2 == 0
+    shrink1 = np.where(on, 1.0, rng.uniform(0.3, 0.95, n))
+    shrink2 = np.where(on, 1.0, rng.uniform(0.3, 0.95, n))
+    Z = (X @ u / w * shrink1)[:, None]
+    Y = (Z[:, 0] * w / v * shrink2)[:, None]
+    ids = tuple(f"U{i + 1}" for i in range(n))
+    return Dataset(dmu_ids=ids, dmu_names=ids, X=X, Z=Z, Y=Y)
 
 
 class TestDatasetValidation:
@@ -329,14 +346,21 @@ class TestErrorPaths:
 
 
 class TestRunFullAnalysis:
-    @pytest.mark.parametrize("shape", [(3, 2, 2), (3, 1, 1)])
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (3, 1, 1), "half-on-frontier"])
     def test_invariants_at_n100(self, make_random_dataset, shape):
         # The paper's invariants at the benchmarked size: the product
         # identity, overall <= CCR, and units invariance. A power-of-two unit
         # per column leaves the normalized LPs bit-identical, so the scaled
         # run must also render the same json bytes, which covers a rerun.
-        rng = np.random.default_rng(100 + shape[1])
-        data = make_random_dataset(rng, 100, *shape)
+        # The half-on-frontier set puts every second DMU on both stage
+        # frontiers, so many stage rows bind at once, and with them the
+        # whole-process rows they imply, which the relational LPs omit.
+        if shape == "half-on-frontier":
+            rng = np.random.default_rng(100)
+            data = half_on_frontier_dataset(rng, 100)
+        else:
+            rng = np.random.default_rng(100 + shape[1])
+            data = make_random_dataset(rng, 100, *shape)
         cfg = SolverConfig()
         relational, ccr = run_full_analysis(data, cfg)
         for rel, whole in zip(relational, ccr):
@@ -426,6 +450,18 @@ def reference_relational_lp(X, Z, Y, k, epsilon, pinned_overall=None,
             np.concatenate([rhs, np.zeros(3 * n)]), np.full(m + p + s, epsilon))
 
 
+def without_whole_process_rows(reference, n):
+    """reference_relational_lp's LP with its n whole-process rows deleted,
+    the rows the chain "uwv" omits. Each deleted row must first equal the
+    bitwise sum of the DMU's stage-1 and stage-2 rows, which imply it."""
+    objective, matrix, senses, rhs, lower = reference
+    eqs = senses.count(EQUAL)
+    whole, first, second = (matrix[eqs + i * n:eqs + (i + 1) * n] for i in range(3))
+    assert (first + second).tobytes() == whole.tobytes()
+    kept = np.r_[:eqs, eqs + n:len(matrix)]
+    return objective, matrix[kept], senses[:eqs] + senses[eqs + n:], rhs[kept], lower
+
+
 def _assert_same_lp(lp, reference):
     # Bytes, not values: -0.0 == 0.0, yet the two can round differently.
     objective, matrix, senses, rhs, lower = reference
@@ -440,10 +476,10 @@ def _assert_same_lp(lp, reference):
 class TestCcrLpReference:
     def _check(self, data, X, Z, Y):
         by_slot = {"u": X, "w": Z, "v": Y}
-        for inputs, outputs in _FAMILIES:
+        for chain in ("uv", "uw", "wv"):
             for k in range(data.n):
-                lp = data._lp_system.lp(k, ((inputs, outputs),), outputs, inputs, 1e-6)
-                _assert_same_lp(lp, reference_ccr_lp(by_slot[inputs], by_slot[outputs],
+                lp = data._lp_system.lp(k, chain, chain, 1e-6)
+                _assert_same_lp(lp, reference_ccr_lp(by_slot[chain[0]], by_slot[chain[1]],
                                                      k, 1e-6))
 
     def test_random_datasets(self, make_random_dataset):
@@ -466,7 +502,8 @@ class TestCcrLpReference:
 
 class TestFullAnalysisLpReference:
     """Every LP run_full_analysis builds, under both priorities, against the
-    builders the one LP builder replaces."""
+    builders the one LP builder replaces: the relational and pinned LPs are
+    theirs without the whole-process rows."""
 
     def _check(self, monkeypatch, data):
         X, Z, Y = reference_normalized_matrices(data)
@@ -482,9 +519,10 @@ class TestFullAnalysisLpReference:
             relational, _ = run_full_analysis(data, SolverConfig(stage_priority=priority))
             want = []
             for k, record in enumerate(relational):
-                want += [reference_relational_lp(X, Z, Y, k, 1e-6),
-                         reference_relational_lp(X, Z, Y, k, 1e-6, record.overall, priority),
-                         reference_ccr_lp(X, Y, k, 1e-6)]
+                want += [without_whole_process_rows(reference, data.n) for reference in (
+                    reference_relational_lp(X, Z, Y, k, 1e-6),
+                    reference_relational_lp(X, Z, Y, k, 1e-6, record.overall, priority))]
+                want.append(reference_ccr_lp(X, Y, k, 1e-6))
             assert len(built) == len(want)
             for lp, reference in zip(built, want):
                 _assert_same_lp(lp, reference)
@@ -507,6 +545,6 @@ def test_lp_system_built_once_and_read_only():
     solve_stage_independent(data, 1, StagePriority.FIRST_STAGE)
     solve_stage_priority(data, 2)
     assert data._lp_system is system
-    for arr in (*system.normalized.values(), system.ratio_rows):
+    for arr in (*system.normalized.values(), *system.ratio_rows.values()):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 1.0

@@ -1,4 +1,4 @@
-"""Multiplier-form DEA models for a two-stage series production process.
+"""DEA models for a two-stage series production process.
 
 A dataset holds n DMUs that consume m inputs (matrix X), turn them into p
 intermediate products (matrix Z) in a first stage, and convert those into s
@@ -22,6 +22,14 @@ so scores are unaffected); reported multipliers refer to the normalized
 problem. This normalization and the ratio rows the LPs share are built
 once per dataset, on its first solve, not once per LP. The relational LPs
 hold 2n ratio rows: the stage rows imply the n whole-process rows.
+
+Each model is stated in multiplier form. From ENVELOPMENT_MIN_DMUS DMUs
+up, the LPs without a pinned score (CCR, the independent stages and the
+relational overall score) are solved as their LP duals, the envelopment
+form, which has a row per weight instead of one per ratio constraint. The
+weights are then read back from the dual's row prices and checked against
+the multiplier LP. The pinned stage-priority LP is always solved in
+multiplier form.
 """
 
 from __future__ import annotations
@@ -41,7 +49,18 @@ from .errors import (
     SolverFailureError,
     ValidationError,
 )
-from .lp_core import EQUAL, LESS_EQUAL, LinearProgram, SolveStatus, solve_lp
+from .lp_core import (
+    EQUAL,
+    FEASIBILITY_TOL,
+    LESS_EQUAL,
+    LinearProgram,
+    LpSolution,
+    SolveStatus,
+    _as_readonly,
+    _max_violation,
+    _sense_masks,
+    solve_lp,
+)
 
 #: |overall - stage1 * stage2| must stay below this on every relational record.
 PRODUCT_IDENTITY_TOL = 1e-6
@@ -50,6 +69,15 @@ PRODUCT_IDENTITY_TOL = 1e-6
 #: may exceed 1, and overall a fixed stage score, by at most this much; the
 #: result is then clamped, and a larger excess is rejected.
 SCORE_EXCESS_TOL = 1e-9
+
+#: From this many DMUs up, the unpinned LPs are solved in envelopment form.
+#: The crossover lies lower on dispersed 3/1/1 sets: the relational and CCR
+#: LPs took 0.74x the multiplier form's time at n = 30, 0.70x at n = 40 and
+#: 0.80x at n = 50, but 1.15x at n = 20 and 1.7x on the bundled 13-DMU set
+#: (179 pivots against 89). Below 40, though, the duals of 4 DMUs of the
+#: batch-small benchmark sets (seeds 1-3, n = 28 to 37) failed where the
+#: multiplier LPs solve.
+ENVELOPMENT_MIN_DMUS = 40
 
 
 class StagePriority(enum.Enum):
@@ -159,7 +187,10 @@ class Multipliers:
     """Optimal weights of a solve: u on inputs, w on intermediates, v on
     outputs. Slots a model does not use are None. Values refer to the
     column-normalized problem and are generally not unique; scores are
-    the contract, weights are for transparency only.
+    the contract, weights are for transparency only. A solve in
+    envelopment form reads them back from the dual's row prices; they
+    satisfy the multiplier LP and reproduce the score within
+    lp_core.FEASIBILITY_TOL, so a weight may undercut epsilon by as much.
     """
 
     u: np.ndarray | None = None
@@ -253,15 +284,62 @@ class _LpSystem:
         )
 
 
+def _envelopment_lp(lp: LinearProgram) -> LinearProgram:
+    """The LP dual of a multiplier LP max c't s.t. E t = e, R t <= 0,
+    t >= eps, written over s = t - eps >= 0: variables [y+ | y- | lambda]
+    >= 0, one row -(E'y + R'lambda) <= -c per weight, and the objective
+    max -(b_E'y + b_R'lambda) with y = y+ - y- and b = rhs - A eps."""
+    A = lp.constraint_matrix
+    eqs = lp.constraint_senses.count(EQUAL)
+    b = lp.rhs - A @ lp.variable_lower_bounds
+    return LinearProgram(
+        objective=np.r_[-b[:eqs], b[:eqs], -b[eqs:]],
+        constraint_matrix=np.hstack((-A[:eqs].T, A[:eqs].T, -A[eqs:].T)),
+        constraint_senses=(LESS_EQUAL,) * lp.num_variables,
+        rhs=-lp.objective,
+        variable_lower_bounds=np.zeros(eqs + len(A)),
+    )
+
+
+def _solve_envelopment(lp: LinearProgram) -> LpSolution:
+    """Solve a multiplier LP through _envelopment_lp, with the result in
+    the multiplier LP's terms: the weights are t = eps + the dual's row
+    prices and the score is c't. t must satisfy the multiplier LP, and c't
+    match c'eps minus the dual optimum, each within FEASIBILITY_TOL, or the
+    result is a NUMERICAL_FAILURE. An unbounded dual means an infeasible
+    multiplier LP.
+
+    The score is c't, not the dual's bound, because a stage-priority LP
+    pins it: a bound a rounding error above the optimum can make that LP
+    infeasible, as it did for one DMU of a 100-DMU dispersed 3/1/1 set.
+    """
+    sol = solve_lp(_envelopment_lp(lp))
+    if sol.status is SolveStatus.UNBOUNDED:
+        return LpSolution(SolveStatus.INFEASIBLE, iterations=sol.iterations)
+    failed = LpSolution(SolveStatus.NUMERICAL_FAILURE, iterations=sol.iterations)
+    if sol.status is not SolveStatus.OPTIMAL:
+        return failed
+    t = lp.variable_lower_bounds + sol.row_prices
+    score = float(lp.objective @ t)
+    bound = float(lp.objective @ lp.variable_lower_bounds) - sol.objective_value
+    if (_max_violation(lp, t, *_sense_masks(lp)) > FEASIBILITY_TOL
+            or abs(score - bound) > FEASIBILITY_TOL):
+        return failed
+    return LpSolution(SolveStatus.OPTIMAL, objective_value=score,
+                      variable_values=_as_readonly(t), iterations=sol.iterations)
+
+
 def _solve(data: Dataset, k: int, cfg: SolverConfig, model: str, chain: str,
            scored: str | None = None, pinned_overall: float | None = None) -> tuple:
     """Solve DMU k's LP that _LpSystem.lp builds from these arguments; scored
     defaults to the chain's ends.
 
-    Returns (dmu_id, clamped optimum, weights by slot). An infeasible LP is
-    a ConfigurationError (epsilon too large) unless the overall score is
-    pinned: that LP holds an optimum just reached at the same epsilon, so
-    it can only fail numerically, like any other non-optimal status.
+    Returns (dmu_id, clamped optimum, weights by slot). An unpinned LP of
+    a dataset with at least ENVELOPMENT_MIN_DMUS DMUs is solved in
+    envelopment form. An infeasible LP is a ConfigurationError (epsilon
+    too large) unless the overall score is pinned: that LP holds an
+    optimum just reached at the same epsilon, so it can only fail
+    numerically, like any other non-optimal status.
     """
     k = operator.index(k)
     if not 0 <= k < data.n:
@@ -269,8 +347,11 @@ def _solve(data: Dataset, k: int, cfg: SolverConfig, model: str, chain: str,
     dmu = data.dmu_ids[k]
     context = f"{model} model for DMU {dmu}"
     system = data._lp_system
-    sol = solve_lp(system.lp(k, chain, scored or chain[0] + chain[-1], cfg.epsilon,
-                             pinned_overall))
+    lp = system.lp(k, chain, scored or chain[0] + chain[-1], cfg.epsilon, pinned_overall)
+    if pinned_overall is None and data.n >= ENVELOPMENT_MIN_DMUS:
+        sol = _solve_envelopment(lp)
+    else:
+        sol = solve_lp(lp)
     if sol.status is SolveStatus.INFEASIBLE and pinned_overall is None:
         raise ConfigurationError(
             f"{context}: LP infeasible; epsilon={cfg.epsilon} is too large "

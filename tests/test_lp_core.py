@@ -1,10 +1,14 @@
 """Two-phase simplex: hand-checked problems, degenerate and classic
 cycling instances, and a seeded sweep against the vertex-enumeration oracle."""
 
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
 from netdea import (
+    Dataset,
     LinearProgram,
     SolverConfig,
     bundled_dataset_path,
@@ -210,10 +214,11 @@ class TestHighsDifferential:
     def test_matches_highs_on_random_bounded_lps(self):
         # Real-valued data, nonzero lower bounds and up to 48 rows: beyond
         # the vertex oracle's reach. The rhs makes a known point feasible and
-        # a box row per variable bounds the LP, so each one is OPTIMAL.
+        # a box row per variable bounds the LP, so each one is OPTIMAL, with
+        # HiGHS's optimum.
         optimize = pytest.importorskip("scipy.optimize")
         rng = np.random.default_rng(20261019)
-        senses_seen = set()
+        senses_seen, nondegenerate = set(), 0
         for _ in range(200):
             n, k = int(rng.integers(2, 10)), int(rng.integers(2, 40))
             A = rng.normal(size=(k, n))
@@ -233,7 +238,32 @@ class TestHighsDifferential:
             )
             assert want.status == 0
             assert abs(sol.objective_value + want.fun) <= 1e-9 * max(1.0, abs(want.fun))
+            # The row prices y certify the optimum: y >= 0 on <= rows and
+            # <= 0 on >= rows, reduced costs c - A'y <= 0 (0 off the lower
+            # bounds) and no duality gap.
+            y, x = sol.row_prices, sol.variable_values
+            all_senses = np.array(problem.constraint_senses)
+            assert np.all(y[all_senses == LESS_EQUAL] >= -1e-9)
+            assert np.all(y[all_senses == GREATER_EQUAL] <= 1e-9)
+            reduced = problem.objective - problem.constraint_matrix.T @ y
+            assert np.all(reduced <= 1e-9)
+            assert np.all(np.abs(reduced[x > lb + 1e-9]) <= 1e-9)
+            gap = sol.objective_value - (problem.rhs @ y + reduced @ lb)
+            assert abs(gap) <= 1e-9 * max(1.0, abs(want.fun))
+            # At a nondegenerate optimum they are unique, so they must be
+            # HiGHS's, which prices the minimized -c'x with each >= row negated.
+            tight = np.abs(problem.constraint_matrix @ x - problem.rhs) <= 1e-9
+            if tight.sum() + np.count_nonzero(x <= lb + 1e-9) == n:
+                rows = np.r_[np.flatnonzero(le), np.flatnonzero(ge), k + np.arange(n),
+                             np.flatnonzero(eq)]
+                sign = np.r_[-np.ones(le.sum()), np.ones(ge.sum()), -np.ones(n),
+                             -np.ones(eq.sum())]
+                prices = np.empty(k + n)
+                prices[rows] = sign * np.r_[want.ineqlin.marginals, want.eqlin.marginals]
+                np.testing.assert_allclose(y, prices, rtol=1e-7, atol=1e-9)
+                nondegenerate += 1
         assert senses_seen == {LESS_EQUAL, EQUAL, GREATER_EQUAL}
+        assert nondegenerate > 50
 
 
 def reference_max_violation(problem, x):
@@ -364,7 +394,7 @@ class TestInitialTableauReference:
     def _check(problems):
         flipped = 0
         for problem in problems:
-            T, basis, art_start = lp_core._initial_tableau(problem, *_sense_masks(problem))
+            T, basis, art_start, _ = lp_core._initial_tableau(problem, *_sense_masks(problem))
             want_T, want_basis, want_art_start = reference_initial_tableau(problem)
             want_T = want_T[:, np.r_[:want_art_start, -1]]  # without the artificials
             assert T.shape == want_T.shape
@@ -391,7 +421,7 @@ class TestInitialTableauReference:
                     lp([-1, 1], [[-1, -2], [1, 0]], [GREATER_EQUAL] * 2, [-4, -3])]
         self._check(problems)
         for problem in problems:
-            T, basis, art_start = lp_core._initial_tableau(problem, *_sense_masks(problem))
+            T, basis, art_start, _ = lp_core._initial_tableau(problem, *_sense_masks(problem))
             assert art_start == T.shape[1] - 1  # the rhs follows the last surplus
             assert np.all(basis < art_start)  # no artificial label
             sol = solve_lp(problem)
@@ -428,6 +458,41 @@ def unit_column_checked(kernel):
     return pivot
 
 
+def source_lines_run(func, run):
+    """The source lines of func, stripped, that run() executes."""
+    code = func.__code__
+    source = inspect.getsource(func).splitlines()
+    seen = set()
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            seen.add(source[frame.f_lineno - code.co_firstlineno].strip())
+        return trace_lines
+
+    sys.settrace(lambda frame, event, arg: trace_lines if frame.f_code is code else None)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return seen
+
+
+def _n40_lps():
+    """The CCR and relational LPs of a few DMUs of a random 40-DMU set, and
+    their envelopment duals. The relational tableau is too large for _pivot
+    to update whole unless the pivot row is mostly nonzero, as it is in
+    the duals."""
+    rng = np.random.default_rng(40)
+    ids = tuple(f"U{i + 1}" for i in range(40))
+    data = Dataset(ids, ids, *(rng.uniform(1.0, 2.0, (40, c)) for c in (3, 2, 2)))
+    system = data._lp_system
+    for k in range(0, data.n, 8):
+        for chain in ("uv", "uwv"):
+            problem = system.lp(k, chain, "uv", 1e-6)
+            yield problem
+            yield models._envelopment_lp(problem)
+
+
 def _kernel_cases(make_random_lp):
     rng = np.random.default_rng(20261018)
     for _ in range(200):
@@ -442,6 +507,7 @@ def _kernel_cases(make_random_lp):
              [EQUAL, EQUAL, EQUAL, LESS_EQUAL], [4, 4, 8, 3])
     yield lp([1, 1], [[1, -1]], [LESS_EQUAL], [0])  # unbounded
     yield from _bundled_lps()
+    yield from _n40_lps()
 
 
 def _solve_with(monkeypatch, kernel, problem):
@@ -467,15 +533,23 @@ class TestPivotKernelReference:
                                                             make_random_lp):
         kernel = unit_column_checked(lp_core._pivot)
         statuses, senses_seen = set(), set()
-        for problem in _kernel_cases(make_random_lp):
-            senses_seen.update(problem.constraint_senses)
-            got = _solve_with(monkeypatch, kernel, problem)
-            want = _solve_with(monkeypatch, reference_pivot, problem)
-            assert_same_solve(got, want)
-            statuses.add(got.status)
+
+        def run():
+            for problem in _kernel_cases(make_random_lp):
+                senses_seen.update(problem.constraint_senses)
+                got = _solve_with(monkeypatch, kernel, problem)
+                want = _solve_with(monkeypatch, reference_pivot, problem)
+                assert_same_solve(got, want)
+                assert got.row_prices.tobytes() == want.row_prices.tobytes()
+                statuses.add(got.status)
+
+        lines = source_lines_run(lp_core._pivot, run)
         assert senses_seen == {LESS_EQUAL, EQUAL, GREATER_EQUAL}
         assert statuses == {SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE,
                             SolveStatus.UNBOUNDED}
+        # Both of _pivot's updates ran: the whole tableau and the gather.
+        assert {"T -= np.outer(factors, pivot_row)",
+                "T[:, nz] -= factors[:, None] * pivot_row[nz]"} <= lines
 
     def test_same_bytes_as_row_loop_objective(self, monkeypatch, make_random_lp):
         # Each install must leave the tableau byte-equal to the row loop's,

@@ -8,6 +8,11 @@ maxima, and each prioritized stage score equals its independent CCR score.
 Solver output is compared against these with a tiny epsilon.
 """
 
+import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -28,7 +33,7 @@ from netdea import (
     solve_stage_independent,
     solve_stage_priority,
 )
-from netdea import models
+from netdea import lp_core, models
 from netdea.errors import (
     ConfigurationError,
     DecompositionError,
@@ -36,7 +41,7 @@ from netdea.errors import (
     SolverFailureError,
     ValidationError,
 )
-from netdea.lp_core import EQUAL, LESS_EQUAL, LpSolution, SolveStatus
+from netdea.lp_core import EQUAL, FEASIBILITY_TOL, LESS_EQUAL, LpSolution, SolveStatus
 from netdea.models import PRODUCT_IDENTITY_TOL, decompose_efficiency
 
 #: epsilon small enough that scores match the epsilon-free closed forms
@@ -363,9 +368,17 @@ class TestRunFullAnalysis:
             data = make_random_dataset(rng, 100, *shape)
         cfg = SolverConfig()
         relational, ccr = run_full_analysis(data, cfg)
-        for rel, whole in zip(relational, ccr):
+        X, _, Y = reference_normalized_matrices(data)
+        for k, (rel, whole) in enumerate(zip(relational, ccr)):
             assert abs(rel.overall - rel.stage1 * rel.stage2) <= PRODUCT_IDENTITY_TOL
             assert rel.overall <= whole.overall + 1e-9
+            # The CCR weights, read back from the envelopment solve, are a
+            # feasible point of the multiplier LP that attains the score.
+            u, v = whole.multipliers.u, whole.multipliers.v
+            assert min(u.min(), v.min()) >= cfg.epsilon - FEASIBILITY_TOL
+            assert np.all(Y @ v - X @ u <= FEASIBILITY_TOL)
+            assert abs(X[k] @ u - 1.0) <= FEASIBILITY_TOL
+            assert abs(Y[k] @ v - whole.overall) <= FEASIBILITY_TOL
         scaled = Dataset(data.dmu_ids, data.dmu_names,
                          *(M * 2.0 ** rng.integers(-20, 21, M.shape[1])
                            for M in (data.X, data.Z, data.Y)))
@@ -462,6 +475,22 @@ def without_whole_process_rows(reference, n):
     return objective, matrix[kept], senses[:eqs] + senses[eqs + n:], rhs[kept], lower
 
 
+def reference_envelopment_lp(reference):
+    """The LP dual of a reference multiplier LP max c't s.t. E t = e,
+    R t <= 0, t >= eps, transposed row by row: variables [y+ | y- | lambda]
+    >= 0 and, for each weight i, the row -(E_i'y+ - E_i'y- + R_i'lambda)
+    <= -c_i. Its objective is max -(b_E'y+ - b_E'y- + b_R'lambda), where b
+    is the rhs shifted by the lower bounds as lp_core shifts it."""
+    objective, matrix, senses, rhs, lower = reference
+    eqs = senses.count(EQUAL)
+    shifted = rhs - matrix @ lower
+    rows = [np.concatenate([-matrix[:eqs, i], matrix[:eqs, i], -matrix[eqs:, i]])
+            for i in range(len(objective))]
+    return (np.concatenate([-shifted[:eqs], shifted[:eqs], -shifted[eqs:]]),
+            np.array(rows), (LESS_EQUAL,) * len(rows), -objective,
+            np.zeros(eqs + len(matrix)))
+
+
 def _assert_same_lp(lp, reference):
     # Bytes, not values: -0.0 == 0.0, yet the two can round differently.
     objective, matrix, senses, rhs, lower = reference
@@ -503,7 +532,8 @@ class TestCcrLpReference:
 class TestFullAnalysisLpReference:
     """Every LP run_full_analysis builds, under both priorities, against the
     builders the one LP builder replaces: the relational and pinned LPs are
-    theirs without the whole-process rows."""
+    theirs without the whole-process rows. From ENVELOPMENT_MIN_DMUS DMUs
+    up, the relational and CCR LPs are solved as their transposed duals."""
 
     def _check(self, monkeypatch, data):
         X, Z, Y = reference_normalized_matrices(data)
@@ -519,10 +549,14 @@ class TestFullAnalysisLpReference:
             relational, _ = run_full_analysis(data, SolverConfig(stage_priority=priority))
             want = []
             for k, record in enumerate(relational):
-                want += [without_whole_process_rows(reference, data.n) for reference in (
-                    reference_relational_lp(X, Z, Y, k, 1e-6),
-                    reference_relational_lp(X, Z, Y, k, 1e-6, record.overall, priority))]
-                want.append(reference_ccr_lp(X, Y, k, 1e-6))
+                overall = without_whole_process_rows(
+                    reference_relational_lp(X, Z, Y, k, 1e-6), data.n)
+                pinned = without_whole_process_rows(
+                    reference_relational_lp(X, Z, Y, k, 1e-6, record.overall, priority), data.n)
+                ccr = reference_ccr_lp(X, Y, k, 1e-6)
+                if data.n >= models.ENVELOPMENT_MIN_DMUS:
+                    overall, ccr = reference_envelopment_lp(overall), reference_envelopment_lp(ccr)
+                want += [overall, pinned, ccr]
             assert len(built) == len(want)
             for lp, reference in zip(built, want):
                 _assert_same_lp(lp, reference)
@@ -534,6 +568,124 @@ class TestFullAnalysisLpReference:
 
     def test_bundled_data(self, monkeypatch, table1):
         self._check(monkeypatch, table1)
+
+    @pytest.mark.parametrize("n,shape", [(40, (3, 2, 2)), (47, (1, 3, 2))])
+    def test_envelopment_form(self, monkeypatch, make_random_dataset, n, shape):
+        self._check(monkeypatch, make_random_dataset(np.random.default_rng(n), n, *shape))
+
+
+def _perfbench_generate():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("perfbench_generate", path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)  # its dataclass looks itself up in sys.modules
+    return module
+
+
+class TestEnvelopmentForm:
+    """From ENVELOPMENT_MIN_DMUS DMUs up, the CCR, stage-independent and
+    relational overall LPs are solved in envelopment form; the pinned
+    stage-priority LP is not."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        solved = []
+
+        def recording_solve(problem):
+            solution = solve_lp(problem)
+            solved.append((problem, solution))
+            return solution
+
+        monkeypatch.setattr(models, "solve_lp", recording_solve)
+        return solved
+
+    @pytest.mark.parametrize("n", [39, 40])
+    def test_form_switches_at_the_threshold(self, monkeypatch, make_random_dataset, n):
+        assert models.ENVELOPMENT_MIN_DMUS == 40
+        data = make_random_dataset(np.random.default_rng(n), n, 3, 2, 2)
+        solved = self._record(monkeypatch)
+        solve_ccr(data, 0)
+        solve_stage_independent(data, 0, StagePriority.SECOND_STAGE)
+        solve_stage_priority(data, 0)
+        (ccr, _), (stage, _), (overall, _), (pinned, _) = solved
+        for lp, weights in ((ccr, 5), (stage, 4), (overall, 7)):
+            if n < 40:  # a row per DMU (two for the relational LP) and a weight per column
+                assert lp.num_variables == weights
+                assert lp.constraint_senses.count(EQUAL) == 1
+            else:  # a row per weight, and y+, y- and one lambda per ratio row
+                assert lp.num_constraints == weights
+                assert lp.constraint_senses == (LESS_EQUAL,) * weights
+                assert lp.num_variables == 2 + (2 * n if lp is overall else n)
+        assert pinned.num_variables == 7
+        assert pinned.constraint_senses.count(EQUAL) == 2
+
+    def test_oversized_epsilon_is_a_configuration_error(self, monkeypatch,
+                                                        make_random_dataset):
+        # The multiplier LP is infeasible, so its envelopment dual is unbounded.
+        data = make_random_dataset(np.random.default_rng(41), 41, 3, 2, 2)
+        cfg = SolverConfig(epsilon=0.5)
+        solved = self._record(monkeypatch)
+        for solve in (solve_ccr, solve_relational_overall):
+            with pytest.raises(ConfigurationError) as excinfo:
+                solve(data, 0, cfg)
+            assert str(excinfo.value).endswith("for the normalized data")
+            problem, solution = solved[-1]
+            assert problem.constraint_senses.count(EQUAL) == 0
+            assert solution.status is SolveStatus.UNBOUNDED
+
+    @pytest.mark.parametrize("skewed", ["row prices", "dual optimum"])
+    def test_uncertified_result_is_a_solver_failure(self, monkeypatch,
+                                                    make_random_dataset, skewed):
+        # Weights off the multiplier LP, or a score off the dual's bound,
+        # fail the read-back check; nothing falls back to the other form.
+        data = make_random_dataset(np.random.default_rng(42), 42, 3, 2, 2)
+        if skewed == "row prices":
+            row_prices = lp_core._row_prices
+            monkeypatch.setattr(lp_core, "_row_prices", lambda *final: row_prices(*final) + 1e-6)
+        else:
+            def skewed_solve(problem):
+                solution = solve_lp(problem)
+                return dataclasses.replace(solution,
+                                           objective_value=solution.objective_value + 1e-6)
+
+            monkeypatch.setattr(models, "solve_lp", skewed_solve)
+        with pytest.raises(SolverFailureError, match="numerical_failure"):
+            solve_ccr(data, 0)
+
+    def test_score_is_attained_by_the_weights(self):
+        # The stage-priority LP pins the overall score, so the score must be
+        # attained by a point of the multiplier LP, c't. On this set the
+        # dual's bound sits a rounding error above DMU 41's optimum, and the
+        # LP pinned there ends in numerical_failure.
+        X, Z, Y = _perfbench_generate().dispersed(np.random.default_rng(0), 100, 3, 1, 1)
+        ids = tuple(f"D{j + 1}" for j in range(len(X)))
+        record = solve_stage_priority(Dataset(ids, ids, X, Z, Y), 40)
+        assert record.overall == pytest.approx(0.000255006483234, rel=1e-9)
+
+    def test_scores_match_highs(self):
+        # CCR and relational overall scores of sets with 40-60 DMUs against
+        # HiGHS on the multiplier LP, from three of the benchmark's
+        # generators: dispersed, near one frontier, and half on the frontier.
+        optimize = pytest.importorskip("scipy.optimize")
+        generate = _perfbench_generate()
+        rng = np.random.default_rng(20261018)
+        sets = [generate.dispersed(rng, 50, 3, 2, 2),
+                generate.near_frontier(rng, 60, 2, 2, 2),
+                generate.half_on_frontier(rng, 40)]
+        for X, Z, Y in sets:
+            ids = tuple(f"D{j + 1}" for j in range(len(X)))
+            data = Dataset(ids, ids, X, Z, Y)
+            for k in range(data.n):
+                for chain, score in (("uv", solve_ccr(data, k).overall),
+                                     ("uwv", solve_relational_overall(data, k))):
+                    lp = data._lp_system.lp(k, chain, "uv", 1e-6)
+                    eq = np.array(lp.constraint_senses) == EQUAL
+                    A = lp.constraint_matrix
+                    want = optimize.linprog(
+                        -lp.objective, A_ub=A[~eq], b_ub=lp.rhs[~eq], A_eq=A[eq],
+                        b_eq=lp.rhs[eq], bounds=(1e-6, None), method="highs")
+                    assert want.status == 0
+                    assert abs(score + want.fun) <= 1e-9
 
 
 def test_lp_system_built_once_and_read_only():

@@ -9,12 +9,13 @@ lives in). The inputs always come from this script's own checkout, and
 
 * the bundled 13-DMU set;
 * ``generate.dispersed(np.random.default_rng(0), n, 3, 1, 1)`` for
-  n = 50, 100, 200 and 400.
+  n = 20, 30, 40, 50, 100, 200 and 400; the first three bracket the size
+  from which models.py solves the unpinned LPs in envelopment form.
 
 Each set is parsed afresh and solved by ``run_full_analysis`` under the
 default config three times; the best time counts. Every LP's pivots are
-summed by kind (relational, stage-priority, CCR); these counts repeat
-exactly and do not drift with the host. One ``netdea compare`` process on
+summed by kind (relational, stage-priority, CCR) and form (multiplier or
+envelopment); these counts repeat exactly and do not drift with the host. One ``netdea compare`` process on
 the bundled set is timed the same way. Time and pivot exponents in n are
 fitted from n = 200 to 400.
 
@@ -42,7 +43,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 import generate  # noqa: E402
 
-SIZES = (50, 100, 200, 400)
+SIZES = (20, 30, 40, 50, 100, 200, 400)
 REPEATS = 3
 
 
@@ -59,9 +60,11 @@ def machine_info() -> dict:
 
 
 class PivotCounter:
-    """Wraps models.solve_lp and sums each LP's pivots by kind: the pinned
-    stage-priority LP has two equality rows, and the relational LP has a
-    weight on every column of X, Z and Y, while CCR has none on Z."""
+    """Wraps models.solve_lp and sums each LP's pivots by kind and form. A
+    multiplier LP has a variable per weight and one equality row, two for
+    the pinned stage-priority LP; its envelopment dual has a row per weight
+    and no equality row. The relational LP has a weight on every column of
+    X, Z and Y, while CCR has none on Z."""
 
     def __init__(self, nd):
         self.solve_lp = nd.models.solve_lp
@@ -70,10 +73,14 @@ class PivotCounter:
 
     def __call__(self, problem):
         sol = self.solve_lp(problem)
-        if problem.constraint_senses.count("=") == 2:
-            kind = "stage-priority"
+        equalities = problem.constraint_senses.count("=")
+        if equalities == 2:
+            kind = "stage-priority multiplier"
         else:
-            kind = "relational" if problem.num_variables == self.weights else "CCR"
+            form, weights = (("multiplier", problem.num_variables) if equalities
+                             else ("envelopment", problem.num_constraints))
+            model = "relational" if weights == self.weights else "CCR"
+            kind = f"{model} {form}"
         lps, pivots = self.counts.get(kind, (0, 0))
         self.counts[kind] = (lps + 1, pivots + sol.iterations)
         return sol

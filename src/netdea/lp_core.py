@@ -16,9 +16,9 @@ solve their unpinned LPs as envelopment duals, which turn this around: a
 row per weight and a column per ratio row, so the relational LP of a
 3/2/2 set with n = 100 has an 8 x 210 tableau. A pivot row of such a
 tableau is mostly nonzero, and _pivot then updates the whole tableau at
-once instead of gathering its nonzero columns. An optimal solution also
-carries each row's price, solved from the final basis, which is how the
-models read the weights back from an envelopment solve.
+once instead of gathering its nonzero columns. An OPTIMAL result is
+proved by solve_lp and carries the row prices that certify it, which is
+how the models read the weights back from an envelopment solve.
 
 The tableau is built over t = x - lb >= 0, with the rows of negative
 shifted rhs negated. Its columns are the variables, a slack per <= row, a
@@ -37,7 +37,6 @@ re-enter. So storing the artificials as labels alone is exact.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,25 +143,16 @@ class LpSolution:
 
     variable_values and row_prices are empty and objective_value is NaN
     unless the status is OPTIMAL. row_prices holds each row's price in the
-    final basis: the rate at which the optimum grows with the row's rhs,
-    >= 0 on a <= row and <= 0 on a >= row. iterations counts simplex
-    pivots across both phases.
+    final basis, certified by solve_lp: the rate at which the optimum grows
+    with the row's rhs, >= 0 on a <= row and <= 0 on a >= row, within
+    OPTIMALITY_TOL. iterations counts simplex pivots across both phases.
     """
 
     status: SolveStatus
     objective_value: float = float("nan")
     variable_values: np.ndarray = field(default_factory=lambda: _as_readonly([]))
     iterations: int = 0
-    #: (lp, basis, kept, owners) of an optimal solve, for _row_prices.
-    final_basis: tuple | None = field(default=None, repr=False)
-
-    @functools.cached_property
-    def row_prices(self) -> np.ndarray:
-        # Solved on first read: most callers never read them, and the solve
-        # costs about 15 us, 6% of a bundled-set LP.
-        if self.final_basis is None:
-            return _as_readonly([])
-        return _as_readonly(_row_prices(*self.final_basis))
+    row_prices: np.ndarray = field(default_factory=lambda: _as_readonly([]))
 
 
 def _install_objective(T: np.ndarray, basis: np.ndarray, coeffs: np.ndarray) -> None:
@@ -296,10 +286,14 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve a LinearProgram with the two-phase primal simplex.
 
     The solution is a pure function of the program: identical programs
-    produce bit-identical results. A NUMERICAL_FAILURE status
-    means the engine could not certify any other outcome (iteration cap,
-    persistent sub-tolerance pivots, or a final point that fails the
-    feasibility check); callers must surface it rather than substitute a
+    produce bit-identical results. OPTIMAL comes with a proof: x meets
+    every row and bound within FEASIBILITY_TOL, and the row prices y of
+    the final basis certify it, with y >= -OPTIMALITY_TOL on <= rows and
+    <= OPTIMALITY_TOL on >= rows, reduced costs c - A'y <= OPTIMALITY_TOL
+    and a duality gap |c'x - b'y - (c - A'y)'lb| <= FEASIBILITY_TOL *
+    max(1, |c'x|). NUMERICAL_FAILURE means no outcome was certified: the
+    iteration cap, persistent sub-tolerance pivots, or a final point or
+    basis that fails the proof. Callers must surface it, not substitute a
     value.
     """
     le, ge = _sense_masks(lp)
@@ -337,10 +331,19 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     x = lp.variable_lower_bounds + shifted[:lp.num_variables]
     if _max_violation(lp, x, le, ge) > FEASIBILITY_TOL:
         return LpSolution(SolveStatus.NUMERICAL_FAILURE, iterations=iterations)
+    y = _row_prices(lp, basis, kept, owners)
+    reduced = lp.objective - lp.constraint_matrix.T @ y
+    value = float(lp.objective @ x)
+    gap = value - lp.rhs @ y - reduced @ lp.variable_lower_bounds
+    # The worst wrong-signed price or reduced cost; NaN if a price is NaN,
+    # which fails the test.
+    worst = np.concatenate((-y[le], y[ge], reduced)).max(initial=0.0)
+    if not (worst <= OPTIMALITY_TOL and abs(gap) <= FEASIBILITY_TOL * max(1.0, abs(value))):
+        return LpSolution(SolveStatus.NUMERICAL_FAILURE, iterations=iterations)
     return LpSolution(
         SolveStatus.OPTIMAL,
-        objective_value=float(lp.objective @ x),
+        objective_value=value,
         variable_values=_as_readonly(x),
         iterations=iterations,
-        final_basis=(lp, basis, kept, owners),
+        row_prices=_as_readonly(y),
     )

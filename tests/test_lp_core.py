@@ -1,6 +1,7 @@
 """Two-phase simplex: hand-checked problems, degenerate and classic
 cycling instances, and a seeded sweep against the vertex-enumeration oracle."""
 
+import dataclasses
 import inspect
 import sys
 
@@ -264,6 +265,86 @@ class TestHighsDifferential:
                 nondegenerate += 1
         assert senses_seen == {LESS_EQUAL, EQUAL, GREATER_EQUAL}
         assert nondegenerate > 50
+
+
+def certificate_held(problem, x, y):
+    """Which of solve_lp's three optimality conditions row prices y meet at
+    the optimum x, computed here from their definitions."""
+    senses = np.array(problem.constraint_senses)
+    reduced = problem.objective - problem.constraint_matrix.T @ y
+    value = problem.objective @ x
+    gap = value - problem.rhs @ y - reduced @ problem.variable_lower_bounds
+    return {"sign": bool(np.all(y[senses == LESS_EQUAL] >= -OPTIMALITY_TOL)
+                         and np.all(y[senses == GREATER_EQUAL] <= OPTIMALITY_TOL)),
+            "reduced cost": bool(np.all(reduced <= OPTIMALITY_TOL)),
+            "gap": bool(abs(gap) <= FEASIBILITY_TOL * max(1.0, abs(value)))}
+
+
+def broken_prices(problem, x, y, broken, final, delta=1e-6):
+    """Row prices near y that break the named condition. They are solved in
+    the final basis for an objective c + delta * dc, so each basic column's
+    reduced cost becomes -delta * dc, and the gap moves by
+    -delta * dc'(x - lb):
+    * gap: dc raises the basic j of the largest x_j - lb_j, a dual-feasible
+      but suboptimal y;
+    * reduced cost: dc lowers j and raises the next basic k so that the gap
+      stays;
+    * sign: the zero price of an inequality row i takes the wrong sign,
+      and dc = +-a_i undoes that in the basic reduced costs, plus j's share
+      of row i's slack, which undoes it in the gap.
+    The nonbasic reduced costs must have room for the small change dc makes
+    in them; certificate_held confirms that the other conditions hold."""
+    def prices(dc):
+        return lp_core._row_prices(
+            dataclasses.replace(problem, objective=problem.objective + delta * dc), *final)
+
+    shift = x - problem.variable_lower_bounds
+    j, k = np.argsort(shift)[::-1][:2]
+    unit = np.eye(problem.num_variables)
+    if broken == "gap":
+        return prices(unit[j])
+    if broken == "reduced cost":
+        return prices(shift[j] / shift[k] * unit[k] - unit[j])
+    senses = np.array(problem.constraint_senses)
+    i = np.flatnonzero((senses != EQUAL) & (y == 0))[0]
+    sign = 1.0 if senses[i] == LESS_EQUAL else -1.0
+    slack = sign * (problem.rhs[i] - problem.constraint_matrix[i] @ x)
+    out = prices(sign * problem.constraint_matrix[i] + slack / shift[j] * unit[j])
+    out[i] -= sign * delta
+    return out
+
+
+class TestOptimalityCertificate:
+    @pytest.mark.parametrize("broken", ["sign", "reduced cost", "gap"])
+    def test_uncertified_prices_are_a_numerical_failure(self, monkeypatch, broken):
+        # Row prices that fail any one condition, the other two holding, turn
+        # an optimal solve into a NUMERICAL_FAILURE: on the relational overall
+        # LP of the bundled set's first DMU, on the same LP with every row
+        # negated (so its ratio rows are >= rows) and on its envelopment dual.
+        multiplier = load_dataset(bundled_dataset_path())._lp_system.lp(0, "uwv", "uv", 1e-6)
+        negated = dataclasses.replace(
+            multiplier, constraint_matrix=-multiplier.constraint_matrix, rhs=-multiplier.rhs,
+            constraint_senses=[{LESS_EQUAL: GREATER_EQUAL}.get(sense, sense)
+                               for sense in multiplier.constraint_senses])
+        row_prices = lp_core._row_prices
+        for problem in (multiplier, negated, models._envelopment_lp(multiplier)):
+            final = []
+
+            def recording(lp, *final_basis):
+                final[:] = final_basis
+                return row_prices(lp, *final_basis)
+
+            monkeypatch.setattr(lp_core, "_row_prices", recording)
+            sol = solve_lp(problem)
+            assert sol.status is SolveStatus.OPTIMAL
+            x = sol.variable_values
+            y = broken_prices(problem, x, sol.row_prices, broken, final)
+            held = certificate_held(problem, x, y)
+            assert [name for name, ok in held.items() if not ok] == [broken]
+            monkeypatch.setattr(lp_core, "_row_prices", lambda *args: y)
+            failed = solve_lp(problem)
+            assert failed.status is SolveStatus.NUMERICAL_FAILURE
+            assert failed.row_prices.size == 0
 
 
 def reference_max_violation(problem, x):

@@ -4,9 +4,11 @@ Usage:
     python3 tools/solve_digest.py [--src CHECKOUT]
 
 Two checkouts whose solvers take the same pivots and round the same way
-print the same digest; any change to a status, a pivot count, an objective
-or solution bit, or a report byte changes it. Run it once with ``--src``
-pointing at the parent commit's checkout and once without, and compare.
+print the same digest; any change to a status, a pivot count, an objective,
+solution or row-price bit, or a report byte changes it. Row prices, empty
+unless a solve is optimal, are hashed because the envelopment form reads
+its weights from them. Run it once with ``--src`` pointing at the parent
+commit's checkout and once without, and compare.
 
 netdea is imported from ``CHECKOUT/src`` (default: the checkout this script
 lives in). The inputs always come from this script's own checkout, and
@@ -70,7 +72,7 @@ class Digest:
         self.pivots += sol.iterations
         for part in (sol.status.value.encode(), str(sol.iterations).encode(),
                      np.float64(sol.objective_value).tobytes(),
-                     sol.variable_values.tobytes()):
+                     sol.variable_values.tobytes(), sol.row_prices.tobytes()):
             self.sha.update(part + b"\0")
 
     def text(self, text: str):

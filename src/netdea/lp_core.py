@@ -11,14 +11,16 @@ pivoting rule is used throughout, which guarantees termination on the
 degenerate programs that multiplier-form DEA produces. All storage is
 dense. The multiplier LPs built by this package have one column per weight,
 usually a handful, and one row per ratio constraint: a relational LP over
-n DMUs has up to 2n + 2 rows, 202 at n = 100. From 40 DMUs up, the models
+n DMUs has up to 2n + 2 rows. From 40 DMUs up, the models drop the ratio
+rows that other rows imply, which leaves 30 of the 202 rows of the pinned
+relational LP of the benchmark's dispersed 100-DMU 3/2/2 set. They also
 solve their unpinned LPs as envelopment duals, which turn this around: a
-row per weight and a column per ratio row, so the relational LP of a
-3/2/2 set with n = 100 has an 8 x 210 tableau. A pivot row of such a
-tableau is mostly nonzero, and _pivot then updates the whole tableau at
-once instead of gathering its nonzero columns. An OPTIMAL result is
-proved by solve_lp and carries the row prices that certify it, which is
-how the models read the weights back from an envelopment solve.
+row per weight and a column per ratio row, so the relational LP of that
+set has an 8 x 38 tableau. A pivot row of an envelopment tableau is
+mostly nonzero, and _pivot then updates the whole tableau at once instead
+of gathering its nonzero columns. An OPTIMAL result is proved by solve_lp
+and carries the row prices that certify it, which is how the models read
+the weights back from an envelopment solve.
 
 The tableau is built over t = x - lb >= 0, with the rows of negative
 shifted rhs negated. Its columns are the variables, a slack per <= row, a
@@ -54,8 +56,8 @@ _SMALL_PIVOT_STRIKE_LIMIT = 3
 #: it skips. Median per pivot, whole against gather: 5.8 vs 9.4 us on the
 #: bundled set's 29 x 36 tableaus, 9.1 vs 9.9 us at 63 x 70 and 12.8 vs
 #: 10.7 us at 81 x 88 (multiplier LPs of 3/2/2 sets), and 5.9 vs 16.5 us on
-#: the 8 x 210 envelopment tableaus of a 100-DMU 3/2/2 set, whose pivot rows
-#: hold a median of 203 nonzeros.
+#: the 8 x 210 envelopment tableaus of a 100-DMU 3/2/2 set with all its
+#: ratio rows, whose pivot rows hold a median of 203 nonzeros.
 _WHOLE_UPDATE_CELLS = 4096
 
 #: Largest constraint violation (and phase-1 objective) accepted as feasible.

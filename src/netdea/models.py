@@ -21,7 +21,11 @@ of X, Z, Y is divided by its maximum (the ratio models are units-invariant,
 so scores are unaffected); reported multipliers refer to the normalized
 problem. This normalization and the ratio rows the LPs share are built
 once per dataset, on its first solve, not once per LP. The relational LPs
-hold 2n ratio rows: the stage rows imply the n whole-process rows.
+hold up to 2n ratio rows: the stage rows imply the n whole-process rows.
+From ENVELOPMENT_MIN_DMUS DMUs up, each family of ratio rows keeps only
+the rows no kept row implies, which leaves every LP's feasible set as it
+is: the pinned relational LP of the benchmark's dispersed 100-DMU 3/2/2
+set holds 30 rows, not 202.
 
 Each model is stated in multiplier form. From ENVELOPMENT_MIN_DMUS DMUs
 up, the LPs without a pinned score (CCR, the independent stages and the
@@ -67,13 +71,16 @@ PRODUCT_IDENTITY_TOL = 1e-6
 #: result is then clamped, and a larger excess is rejected.
 SCORE_EXCESS_TOL = 1e-9
 
-#: From this many DMUs up, the unpinned LPs are solved in envelopment form.
-#: The crossover lies lower on dispersed 3/1/1 sets: the relational and CCR
+#: From this many DMUs up, the implied ratio rows are dropped and the
+#: unpinned LPs are solved in envelopment form. For the envelopment form,
+#: the crossover lies lower on dispersed 3/1/1 sets: the relational and CCR
 #: LPs took 0.74x the multiplier form's time at n = 30, 0.70x at n = 40 and
 #: 0.80x at n = 50, but 1.15x at n = 20 and 1.7x on the bundled 13-DMU set
 #: (179 pivots against 89). Below 40, though, the duals of 4 DMUs of the
 #: batch-small benchmark sets (seeds 1-3, n = 28 to 37) failed where the
-#: multiplier LPs solve.
+#: multiplier LPs solve. Dropping rows changes the pivots, and with them the
+#: last bits of some scores; the bundled set would drop 12 of its 13 CCR
+#: rows, and the benchmark compares its netdea compare output byte for byte.
 ENVELOPMENT_MIN_DMUS = 40
 
 
@@ -228,11 +235,43 @@ class EfficiencyRecord:
 _STAGE_SLOTS = {StagePriority.FIRST_STAGE: "uw", StagePriority.SECOND_STAGE: "wv"}
 
 
+def _undominated(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Indices, in DMU order, of the ratio rows b_j . t_b - a_j . t_a <= 0
+    that no kept row implies. Row i implies row j for every t >= 0 when
+    c = max_r b_jr / b_ir <= min_q a_jq / a_iq, since then b_j . t_b <=
+    c b_i . t_b <= c a_i . t_a <= a_j . t_a. A relative 1e-12 on the test
+    lets DMUs whose ratios tie up to rounding imply each other.
+
+    Rows are visited by descending ratio at unit weights, which no row has
+    below a row it implies, and kept unless an already-kept row implies
+    them: every dropped row has a kept row that implies it directly, and a
+    tie group keeps one row. Blocks of 64 rows keep the floats to 64 x n x
+    d; the implications take an n x n boolean matrix.
+    """
+    n = len(a)
+    order = np.argsort(a.sum(axis=1) / b.sum(axis=1), kind="stable")
+    a, b = a[order], b[order]
+    implies = np.empty((n, n), dtype=bool)
+    for start in range(0, n, 64):
+        block = slice(start, start + 64)
+        most = (b / b[block, None]).max(axis=2)
+        least = (a / a[block, None]).min(axis=2)
+        implies[block] = most <= least * (1.0 + 1e-12)
+    kept = np.zeros(n, dtype=bool)
+    for j in range(n):
+        kept[j] = not implies[kept, j].any()
+    return np.sort(order[kept])
+
+
 class _LpSystem:
     """The LP data every model of one Dataset shares, built once: X, Z and Y
     divided by their column maxima, keyed by weight slot, and for each link
-    ab of "uv", "uw" and "wv" the n ratio rows b_j . t_b - a_j . t_a <= 0
-    over the variables [u | w | v], all read-only.
+    ab of "uv", "uw" and "wv" the ratio rows b_j . t_b - a_j . t_a <= 0
+    over the variables [u | w | v], all read-only. Below
+    ENVELOPMENT_MIN_DMUS DMUs a link keeps all n rows, from there on only
+    those _undominated returns, in DMU order. The rows it drops are
+    implied, so every LP keeps its feasible set. The benchmark's dispersed
+    100-DMU 3/2/2 set keeps 14 of its 100 "uv" rows, 21 "uw" and 7 "wv".
 
     A model LP links the consecutive slots of its chain: "uv" (CCR), "uw" or
     "wv" (one stage) or "uwv" (relational). So the relational LP has no
@@ -247,9 +286,12 @@ class _LpSystem:
         self.columns = {slot: slice(*edges[i:i + 2]) for i, slot in enumerate("uwv")}
         self.ratio_rows = {}
         for a, b in ("uv", "uw", "wv"):
-            rows = self.ratio_rows[a + b] = np.zeros((data.n, edges[-1]))
+            rows = np.zeros((data.n, edges[-1]))
             rows[:, self.columns[a]] = -self.normalized[a]
             rows[:, self.columns[b]] = self.normalized[b]
+            if data.n >= ENVELOPMENT_MIN_DMUS:
+                rows = rows[_undominated(self.normalized[a], self.normalized[b])]
+            self.ratio_rows[a + b] = rows
         for arr in (*self.normalized.values(), *self.ratio_rows.values()):
             arr.setflags(write=False)
 

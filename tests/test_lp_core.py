@@ -558,20 +558,22 @@ def source_lines_run(func, run):
     return seen
 
 
-def _n40_lps():
-    """The CCR and relational LPs of a few DMUs of a random 40-DMU set, and
-    their envelopment duals. The relational tableau is too large for _pivot
-    to update whole unless the pivot row is mostly nonzero, as it is in
-    the duals."""
-    rng = np.random.default_rng(40)
-    ids = tuple(f"U{i + 1}" for i in range(40))
-    data = Dataset(ids, ids, *(rng.uniform(1.0, 2.0, (40, c)) for c in (3, 2, 2)))
-    system = data._lp_system
-    for k in range(0, data.n, 8):
-        for chain in ("uv", "uwv"):
-            problem = system.lp(k, chain, "uv", 1e-6)
-            yield problem
-            yield models._envelopment_lp(problem)
+def _threshold_lps():
+    """The CCR and relational LPs of a few DMUs of random 39- and 40-DMU
+    sets, and their envelopment duals. The 39-DMU relational LP keeps all
+    2n ratio rows, a tableau too large for _pivot to update whole unless
+    the pivot row is mostly nonzero, as it is in the duals; the 40-DMU LPs
+    keep only the rows no kept row implies."""
+    for n in (39, 40):
+        rng = np.random.default_rng(n)
+        ids = tuple(f"U{i + 1}" for i in range(n))
+        data = Dataset(ids, ids, *(rng.uniform(1.0, 2.0, (n, c)) for c in (3, 2, 2)))
+        system = data._lp_system
+        for k in range(0, n, 8):
+            for chain in ("uv", "uwv"):
+                problem = system.lp(k, chain, "uv", 1e-6)
+                yield problem
+                yield models._envelopment_lp(problem)
 
 
 def _kernel_cases(make_random_lp):
@@ -588,7 +590,7 @@ def _kernel_cases(make_random_lp):
              [EQUAL, EQUAL, EQUAL, LESS_EQUAL], [4, 4, 8, 3])
     yield lp([1, 1], [[1, -1]], [LESS_EQUAL], [0])  # unbounded
     yield from _bundled_lps()
-    yield from _n40_lps()
+    yield from _threshold_lps()
 
 
 def _solve_with(monkeypatch, kernel, problem):

@@ -10,6 +10,7 @@ Solver output is compared against these with a tiny epsilon.
 
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -367,7 +368,7 @@ class TestRunFullAnalysis:
             data = make_random_dataset(rng, 100, *shape)
         cfg = SolverConfig()
         relational, ccr = run_full_analysis(data, cfg)
-        X, _, Y = reference_normalized_matrices(data)
+        X, Z, Y = reference_normalized_matrices(data)
         for k, (rel, whole) in enumerate(zip(relational, ccr)):
             assert abs(rel.overall - rel.stage1 * rel.stage2) <= PRODUCT_IDENTITY_TOL
             assert rel.overall <= whole.overall + 1e-9
@@ -378,6 +379,12 @@ class TestRunFullAnalysis:
             assert np.all(Y @ v - X @ u <= FEASIBILITY_TOL)
             assert abs(X[k] @ u - 1.0) <= FEASIBILITY_TOL
             assert abs(Y[k] @ v - whole.overall) <= FEASIBILITY_TOL
+            # The pinned LP keeps only the undominated stage rows, yet its
+            # weights satisfy every DMU's stage rows.
+            u, w, v = rel.multipliers.u, rel.multipliers.w, rel.multipliers.v
+            assert min(u.min(), w.min(), v.min()) >= cfg.epsilon - FEASIBILITY_TOL
+            assert np.all(Z @ w - X @ u <= FEASIBILITY_TOL)
+            assert np.all(Y @ v - Z @ w <= FEASIBILITY_TOL)
         scaled = Dataset(data.dmu_ids, data.dmu_names,
                          *(M * 2.0 ** rng.integers(-20, 21, M.shape[1])
                            for M in (data.X, data.Z, data.Y)))
@@ -474,6 +481,34 @@ def without_whole_process_rows(reference, n):
     return objective, matrix[kept], senses[:eqs] + senses[eqs + n:], rhs[kept], lower
 
 
+def reference_kept_rows(inputs, outputs):
+    """Pairwise loop that _undominated replaces: the ratio rows
+    outputs_j . t - inputs_j . t <= 0 that no kept row implies, visited in
+    ascending order of inputs_j.sum() / outputs_j.sum(). Row i implies
+    row j when every output of j over that of i is at most, up to a
+    relative 1e-12, every input of j over that of i."""
+    def implies(i, j):
+        most = max(outputs[j, r] / outputs[i, r] for r in range(outputs.shape[1]))
+        least = min(inputs[j, q] / inputs[i, q] for q in range(inputs.shape[1]))
+        return most <= least * (1.0 + 1e-12)
+
+    kept = []
+    for j in sorted(range(len(inputs)), key=lambda j: inputs[j].sum() / outputs[j].sum()):
+        if not any(implies(i, j) for i in kept):
+            kept.append(j)
+    return sorted(kept)
+
+
+def without_implied_rows(reference, n, families):
+    """reference's LP over n DMUs with only the ratio rows families lists:
+    the reference_kept_rows of each of its row families, in order."""
+    objective, matrix, senses, rhs, lower = reference
+    eqs = senses.count(EQUAL)
+    kept = np.concatenate([np.arange(eqs)] + [eqs + i * n + np.array(rows)
+                                              for i, rows in enumerate(families)])
+    return objective, matrix[kept], senses[:len(kept)], rhs[kept], lower
+
+
 def reference_envelopment_lp(reference):
     """The LP dual of a reference multiplier LP max c't s.t. E t = e,
     R t <= 0, t >= eps, transposed row by row: variables [y+ | y- | lambda]
@@ -532,10 +567,12 @@ class TestFullAnalysisLpReference:
     """Every LP run_full_analysis builds, under both priorities, against the
     builders the one LP builder replaces: the relational and pinned LPs are
     theirs without the whole-process rows. From ENVELOPMENT_MIN_DMUS DMUs
-    up, the relational and CCR LPs are solved as their transposed duals."""
+    up, every LP keeps only the ratio rows no kept row implies, and the
+    relational and CCR LPs are solved as their transposed duals."""
 
     def _check(self, monkeypatch, data):
         X, Z, Y = reference_normalized_matrices(data)
+        uv, uw, wv = (reference_kept_rows(*pair) for pair in ((X, Y), (X, Z), (Z, Y)))
         built = []
 
         def recording_solve(problem):
@@ -554,6 +591,9 @@ class TestFullAnalysisLpReference:
                     reference_relational_lp(X, Z, Y, k, 1e-6, record.overall, priority), data.n)
                 ccr = reference_ccr_lp(X, Y, k, 1e-6)
                 if data.n >= models.ENVELOPMENT_MIN_DMUS:
+                    overall, pinned = (without_implied_rows(lp, data.n, [uw, wv])
+                                       for lp in (overall, pinned))
+                    ccr = without_implied_rows(ccr, data.n, [uv])
                     overall, ccr = reference_envelopment_lp(overall), reference_envelopment_lp(ccr)
                 want += [overall, pinned, ccr]
             assert len(built) == len(want)
@@ -568,9 +608,21 @@ class TestFullAnalysisLpReference:
     def test_bundled_data(self, monkeypatch, table1):
         self._check(monkeypatch, table1)
 
-    @pytest.mark.parametrize("n,shape", [(40, (3, 2, 2)), (47, (1, 3, 2))])
+    # 70 DMUs take _undominated two blocks of rows.
+    @pytest.mark.parametrize("n,shape", [(40, (3, 2, 2)), (47, (1, 3, 2)), (70, (2, 2, 3))])
     def test_envelopment_form(self, monkeypatch, make_random_dataset, n, shape):
         self._check(monkeypatch, make_random_dataset(np.random.default_rng(n), n, *shape))
+
+
+def highs_optimum(optimize, reference):
+    """HiGHS's optimum of a reference multiplier LP, all of whose weights
+    are bounded below by 1e-6."""
+    objective, A, senses, rhs, _ = reference
+    eq = np.array(senses) == EQUAL
+    want = optimize.linprog(-objective, A_ub=A[~eq], b_ub=rhs[~eq], A_eq=A[eq],
+                            b_eq=rhs[eq], bounds=(1e-6, None), method="highs")
+    assert want.status == 0
+    return -want.fun
 
 
 def _perfbench_generate():
@@ -582,9 +634,10 @@ def _perfbench_generate():
 
 
 class TestEnvelopmentForm:
-    """From ENVELOPMENT_MIN_DMUS DMUs up, the CCR, stage-independent and
-    relational overall LPs are solved in envelopment form; the pinned
-    stage-priority LP is not."""
+    """From ENVELOPMENT_MIN_DMUS DMUs up, every LP keeps only the ratio rows
+    no kept row implies, and the CCR, stage-independent and relational
+    overall LPs are solved in envelopment form; the pinned stage-priority
+    LP is not."""
 
     @staticmethod
     def _record(monkeypatch):
@@ -607,16 +660,25 @@ class TestEnvelopmentForm:
         solve_stage_independent(data, 0, StagePriority.SECOND_STAGE)
         solve_stage_priority(data, 0)
         (ccr, _), (stage, _), (overall, _), (pinned, _) = solved
-        for lp, weights in ((ccr, 5), (stage, 4), (overall, 7)):
-            if n < 40:  # a row per DMU (two for the relational LP) and a weight per column
+        kept = {link: len(rows) for link, rows in data._lp_system.ratio_rows.items()}
+        if n < 40:
+            assert kept == {"uv": n, "uw": n, "wv": n}
+        else:
+            assert max(kept.values()) < n
+        stage_rows = kept["uw"] + kept["wv"]
+        for lp, weights, rows in ((ccr, 5, kept["uv"]), (stage, 4, kept["wv"]),
+                                  (overall, 7, stage_rows)):
+            if n < 40:  # a weight per column and, past the normalization, a ratio row each
                 assert lp.num_variables == weights
                 assert lp.constraint_senses.count(EQUAL) == 1
+                assert lp.num_constraints == 1 + rows
             else:  # a row per weight, and y+, y- and one lambda per ratio row
                 assert lp.num_constraints == weights
                 assert lp.constraint_senses == (LESS_EQUAL,) * weights
-                assert lp.num_variables == 2 + (2 * n if lp is overall else n)
+                assert lp.num_variables == 2 + rows
         assert pinned.num_variables == 7
         assert pinned.constraint_senses.count(EQUAL) == 2
+        assert pinned.num_constraints == 2 + stage_rows
 
     def test_oversized_epsilon_is_a_configuration_error(self, monkeypatch,
                                                         make_random_dataset):
@@ -655,8 +717,9 @@ class TestEnvelopmentForm:
 
     def test_scores_match_highs(self):
         # CCR and relational overall scores of sets with 40-60 DMUs against
-        # HiGHS on the multiplier LP, from three of the benchmark's
-        # generators: dispersed, near one frontier, and half on the frontier.
+        # HiGHS on the multiplier LP with every ratio row, from three of the
+        # benchmark's generators: dispersed, near one frontier, and half on
+        # the frontier.
         optimize = pytest.importorskip("scipy.optimize")
         generate = _perfbench_generate()
         rng = np.random.default_rng(20261018)
@@ -666,17 +729,80 @@ class TestEnvelopmentForm:
         for X, Z, Y in sets:
             ids = tuple(f"D{j + 1}" for j in range(len(X)))
             data = Dataset(ids, ids, X, Z, Y)
+            X, Z, Y = reference_normalized_matrices(data)
             for k in range(data.n):
-                for chain, score in (("uv", solve_ccr(data, k).overall),
-                                     ("uwv", solve_relational_overall(data, k))):
-                    lp = data._lp_system.lp(k, chain, "uv", 1e-6)
-                    eq = np.array(lp.constraint_senses) == EQUAL
-                    A = lp.constraint_matrix
-                    want = optimize.linprog(
-                        -lp.objective, A_ub=A[~eq], b_ub=lp.rhs[~eq], A_eq=A[eq],
-                        b_eq=lp.rhs[eq], bounds=(1e-6, None), method="highs")
-                    assert want.status == 0
-                    assert abs(score + want.fun) <= 1e-9
+                relational = without_whole_process_rows(
+                    reference_relational_lp(X, Z, Y, k, 1e-6), data.n)
+                for score, reference in ((solve_ccr(data, k).overall,
+                                          reference_ccr_lp(X, Y, k, 1e-6)),
+                                         (solve_relational_overall(data, k), relational)):
+                    assert abs(score - highs_optimum(optimize, reference)) <= 1e-9
+
+
+class TestImpliedRows:
+    """From ENVELOPMENT_MIN_DMUS DMUs up, _LpSystem keeps only the ratio rows
+    of each link that no kept row implies."""
+
+    @staticmethod
+    def _implies(inputs, outputs, i, j):
+        # Exact: row i implies row j for every t >= 0.
+        most = max(Fraction(int(b_j), int(b_i)) for b_j, b_i in zip(outputs[j], outputs[i]))
+        least = min(Fraction(int(a_j), int(a_i)) for a_j, a_i in zip(inputs[j], inputs[i]))
+        return most <= least
+
+    def test_every_dropped_row_is_implied_by_a_kept_row(self):
+        # Small integers give many exact ties and dominated rows; a few
+        # rows are integer multiples of others, ties on any data.
+        rng = np.random.default_rng(14)
+        inputs = rng.integers(1, 6, (80, 2)).astype(float)
+        outputs = rng.integers(1, 6, (80, 3)).astype(float)
+        inputs[70:], outputs[70:] = 3 * inputs[:10], 3 * outputs[:10]
+        kept = list(models._undominated(inputs, outputs))
+        assert kept == sorted(kept) and 1 < len(kept) < 40
+        for j in set(range(80)) - set(kept):
+            assert any(self._implies(inputs, outputs, i, j) for i in kept)
+        for i in kept:  # and no kept row implies another
+            assert not any(self._implies(inputs, outputs, i, j) for j in kept if j != i)
+
+    def test_a_tie_group_keeps_one_row(self):
+        # Rows 5, 17 and 29 are multiples, up to rounding, of one row that
+        # implies every other row: exactly one of them is kept.
+        rng = np.random.default_rng(15)
+        inputs, outputs = rng.uniform(1.0, 2.0, (40, 3)), rng.uniform(1.0, 2.0, (40, 2))
+        group, scale = [5, 17, 29], np.array([[1.0], [0.1], [0.7]])
+        inputs[group] = scale * rng.uniform(0.2, 0.5, 3)
+        outputs[group] = scale * rng.uniform(2.5, 3.0, 2)
+        exact = [max(outputs[j] / outputs[i]) <= min(inputs[j] / inputs[i])
+                 for i in group for j in group]
+        assert not all(exact)  # rounding breaks some of the ties
+        assert list(models._undominated(inputs, outputs)) in ([5], [17], [29])
+        # Half the DMUs of this set share the stage-2 frontier, equal up to
+        # rounding: one stage-2 row is kept.
+        data = half_on_frontier_dataset(np.random.default_rng(16), 40)
+        assert len(data._lp_system.ratio_rows["wv"]) == 1
+
+    @pytest.mark.parametrize("case", [
+        ("near_frontier", (2, 40, 2), (40, 2, 2, 2), StagePriority.FIRST_STAGE, 38),
+        ("dispersed", (3, 150, 0), (150, 3, 2, 2), StagePriority.SECOND_STAGE, 25),
+    ])
+    def test_stage_priority_matches_highs(self, case):
+        # The pinned LP of these DMUs ended in numerical_failure with every
+        # ratio row. Both scores against HiGHS on the LPs with all 2n
+        # stage rows.
+        optimize = pytest.importorskip("scipy.optimize")
+        generator, seed, shape, priority, k = case
+        X, Z, Y = getattr(_perfbench_generate(), generator)(np.random.default_rng(seed), *shape)
+        ids = tuple(f"D{j + 1}" for j in range(len(X)))
+        record = solve_stage_priority(Dataset(ids, ids, X, Z, Y), k,
+                                      SolverConfig(stage_priority=priority))
+        first = priority is StagePriority.FIRST_STAGE
+        X, Z, Y = reference_normalized_matrices(Dataset(ids, ids, X, Z, Y))
+        for pinned, stage, score in ((None, None, record.overall),
+                                     (record.overall, priority,
+                                      record.stage1 if first else record.stage2)):
+            reference = without_whole_process_rows(
+                reference_relational_lp(X, Z, Y, k, 1e-6, pinned, stage), len(X))
+            assert abs(score - highs_optimum(optimize, reference)) <= 1e-9
 
 
 def test_lp_system_built_once_and_read_only():

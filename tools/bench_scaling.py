@@ -1,28 +1,34 @@
-"""Time run_full_analysis as the number of DMUs grows, and one CLI compare.
+"""Time run_full_analysis as n grows, and one CLI compare, on checkouts side by side.
 
 Usage:
-    python3 tools/bench_scaling.py --out FILE.json [--label NAME] [--src CHECKOUT]
+    python3 tools/bench_scaling.py --out FILE.json [--src LABEL=CHECKOUT ...]
 
-netdea is imported from ``CHECKOUT/src`` (default: the checkout this script
-lives in). The inputs always come from this script's own checkout, and
+Each ``--src`` names a checkout whose ``src/`` netdea is imported from, under
+a label (default: this script's checkout, labelled with its directory name).
+The inputs always come from this script's own checkout, and
 ``perfbench/generate.py`` is only imported, never changed:
 
 * the bundled 13-DMU set;
 * ``generate.dispersed(np.random.default_rng(0), n, 3, 1, 1)`` for
-  n = 20, 30, 40, 50, 100, 200 and 400; the first three bracket the size
-  from which models.py solves the unpinned LPs in envelopment form.
+  n = 20, 30, 40, 50, 100, 200, 400 and 1000; the first three bracket the
+  size from which models.py reduces the ratio rows and solves the unpinned
+  LPs in envelopment form.
 
-Each set is parsed afresh and solved by ``run_full_analysis`` under the
-default config three times; the best time counts. Every LP's pivots are
-summed by kind (relational, stage-priority, CCR) and form (multiplier or
-envelopment); these counts repeat exactly and do not drift with the host. One ``netdea compare`` process on
-the bundled set is timed the same way. Time and pivot exponents in n are
-fitted from n = 200 to 400.
+The checkouts take turns set by set, and the side that goes first
+alternates from one set to the next, so host drift over the session lands
+on every side alike. Each set is timed in a fresh process per checkout: it
+is parsed afresh and solved by ``run_full_analysis`` under the default
+config three times (once from n = 1000 up), and the best time counts. A run
+that raises a netdea error is recorded with the error instead. Every LP's
+pivots are summed by kind (relational, stage-priority, CCR) and form
+(multiplier or envelopment); these counts repeat exactly and do not drift
+with the host. One ``netdea compare`` process on the bundled set is timed
+three times per checkout, the checkouts again taking turns. Time and pivot
+exponents in n are fitted from n = 200 to 400 and from 400 to 1000.
 
-The result is stored under ``--label`` (default: the checkout's directory
-name) in the json file ``--out``; other labels already in that file are
-kept, so a parent checkout and a change can be recorded side by side. The
-script records numbers and checks nothing.
+Each checkout's result is stored under its label in the json file
+``--out``; other labels already in that file are kept. The script records
+numbers and checks nothing.
 """
 
 from __future__ import annotations
@@ -43,8 +49,13 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 import generate  # noqa: E402
 
-SIZES = (20, 30, 40, 50, 100, 200, 400)
+SIZES = (20, 30, 40, 50, 100, 200, 400, 1000)
 REPEATS = 3
+#: From this many DMUs up a set is timed once: without the row reduction
+#: of models._undominated one run takes minutes there.
+ONCE_FROM = 1000
+FITS = ((200, 400), (400, 1000))
+SETS = ["bundled"] + [f"dispersed n={n}" for n in SIZES]
 
 
 def machine_info() -> dict:
@@ -90,73 +101,114 @@ class PivotCounter:
                 for kind, (lps, pivots) in sorted(self.counts.items())}
 
 
-def time_set(nd, counter, name: str, text: str) -> dict:
-    times = []
-    for _ in range(REPEATS):
-        data = nd.parse_dataset(text)
-        counter.weights, counter.counts = data.m + data.p + data.s, {}
-        start = time.perf_counter()
-        nd.run_full_analysis(data)
-        times.append(time.perf_counter() - start)
-    pivots = counter.report()
-    print(f"{name}: n {data.n}, best {min(times):.3f} s, "
-          f"pivots {sum(k['pivots'] for k in pivots.values())}", flush=True)
-    return {"name": name, "n": data.n, "best_s": min(times), "times_s": times,
-            "pivots": pivots}
+def set_text(nd, name: str) -> str:
+    if name == "bundled":
+        return Path(nd.bundled_dataset_path()).read_text(encoding="utf-8")
+    n = int(name.removeprefix("dispersed n="))
+    return generate.to_csv(*generate.dispersed(np.random.default_rng(0), n, 3, 1, 1))
 
 
-def time_cli(nd, src: Path) -> dict:
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    argv = [sys.executable, "-m", "netdea.cli", "compare",
-            "--data", str(nd.bundled_dataset_path()), "--format", "table"]
-    times = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        subprocess.run(argv, env=env, capture_output=True, check=True)
-        times.append(time.perf_counter() - start)
-    print(f"netdea compare: best {min(times):.3f} s", flush=True)
-    return {"best_s": min(times), "times_s": times}
-
-
-def exponent(small: float, large: float, ratio: float) -> float:
-    return math.log(large / small) / math.log(ratio)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, required=True,
-                        help="json file the result is stored in")
-    parser.add_argument("--label", help="key of the result in --out")
-    parser.add_argument("--src", type=Path, default=ROOT,
-                        help="checkout whose src/ is imported (default: this one)")
-    args = parser.parse_args(argv)
-    src = (args.src / "src").resolve()
+def time_set(src: Path, name: str) -> dict:
+    """Time one set with netdea imported from src; run in a fresh process."""
     sys.path.insert(0, str(src))
     import netdea as nd
 
     if not Path(nd.__file__).resolve().is_relative_to(src):
         raise SystemExit(f"netdea was imported from {nd.__file__}, not from {src}")
     counter = nd.models.solve_lp = PivotCounter(nd)
-    sets = [time_set(nd, counter, "bundled",
-                     Path(nd.bundled_dataset_path()).read_text(encoding="utf-8"))]
-    for n in SIZES:
-        X, Z, Y = generate.dispersed(np.random.default_rng(0), n, 3, 1, 1)
-        sets.append(time_set(nd, counter, f"dispersed n={n}", generate.to_csv(X, Z, Y)))
-    small, large = sets[-2], sets[-1]
-    pivots = [sum(k["pivots"] for k in s["pivots"].values()) for s in (small, large)]
-    ratio = large["n"] / small["n"]
-    result = {
-        "machine": machine_info(),
-        "sets": sets,
-        "compare_cli": time_cli(nd, src),
-        "exponents": {
-            "from_n": small["n"], "to_n": large["n"],
-            "time": exponent(small["best_s"], large["best_s"], ratio),
-            "pivots": exponent(*pivots, ratio),
-        },
-    }
+    text = set_text(nd, name)
+    times, error = [], None
+    n = nd.parse_dataset(text).n
+    for _ in range(1 if n >= ONCE_FROM else REPEATS):
+        data = nd.parse_dataset(text)
+        counter.weights, counter.counts = data.m + data.p + data.s, {}
+        start = time.perf_counter()
+        try:
+            nd.run_full_analysis(data)
+        except nd.NetdeaError as exc:
+            error = f"{type(exc).__name__}: {exc}"
+        times.append(time.perf_counter() - start)
+        if error:
+            break
+    result = {"name": name, "n": n, "best_s": min(times), "times_s": times,
+              "pivots": counter.report()}
+    if error:
+        result["error"] = error
+    return result
+
+
+def time_cli(src: Path) -> float:
+    """Seconds one netdea compare process takes on the bundled set."""
+    bundled = src / "netdea" / "data" / "iims_2020_21.csv"
+    argv = [sys.executable, "-m", "netdea.cli", "compare",
+            "--data", str(bundled), "--format", "table"]
+    start = time.perf_counter()
+    subprocess.run(argv, env={**os.environ, "PYTHONPATH": str(src)},
+                   capture_output=True, check=True)
+    return time.perf_counter() - start
+
+
+def exponents(sets: list) -> list:
+    by_n = {s["n"]: s for s in sets if "error" not in s}
+    fits = []
+    for small, large in FITS:
+        if small in by_n and large in by_n:
+            pivots = [sum(k["pivots"] for k in by_n[n]["pivots"].values())
+                      for n in (small, large)]
+            ratio = math.log(large / small)
+            fits.append({
+                "from_n": small, "to_n": large,
+                "time": math.log(by_n[large]["best_s"] / by_n[small]["best_s"]) / ratio,
+                "pivots": math.log(pivots[1] / pivots[0]) / ratio,
+            })
+    return fits
+
+
+def parse_src(value: str) -> tuple:
+    label, sep, path = value.partition("=")
+    if not sep:
+        path = value
+        label = Path(path).resolve().name
+    return label, (Path(path) / "src").resolve()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, help="json file the results are stored in")
+    parser.add_argument("--src", action="append", type=parse_src, metavar="LABEL=CHECKOUT",
+                        help="checkout to time, under LABEL (repeatable; default: this one)")
+    parser.add_argument("--one-set", help=argparse.SUPPRESS)  # the per-process worker
+    args = parser.parse_args(argv)
+    sides = args.src or [parse_src(str(ROOT))]
+    if args.one_set:
+        print(json.dumps(time_set(sides[0][1], args.one_set)))
+        return 0
+    if args.out is None:
+        parser.error("--out is required")
+
+    results = {label: {"machine": machine_info(), "sets": [], "compare_cli": {"times_s": []}}
+               for label, _ in sides}
+    for i, name in enumerate(SETS):
+        for label, src in sides[::-1] if i % 2 else sides:
+            worker = subprocess.run(
+                [sys.executable, __file__, "--one-set", name, "--src", f"{label}={src.parent}"],
+                capture_output=True, text=True, check=True)
+            result = json.loads(worker.stdout)
+            results[label]["sets"].append(result)
+            pivots = sum(k["pivots"] for k in result["pivots"].values())
+            print(f"{label} {name}: best {result['best_s']:.3f} s, pivots {pivots}"
+                  + (f", {result['error']}" if "error" in result else ""), flush=True)
+    for i in range(REPEATS):
+        for label, src in sides[::-1] if i % 2 else sides:
+            results[label]["compare_cli"]["times_s"].append(time_cli(src))
+    for label, _ in sides:
+        cli = results[label]["compare_cli"]
+        cli["best_s"] = min(cli["times_s"])
+        results[label]["exponents"] = exponents(results[label]["sets"])
+        print(f"{label} netdea compare: best {cli['best_s']:.3f} s")
+
     stored = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
-    stored[args.label or args.src.resolve().name] = result
+    stored.update(results)
     args.out.write_text(json.dumps(stored, indent=2) + "\n", encoding="utf-8")
     return 0
 

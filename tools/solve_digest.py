@@ -1,4 +1,4 @@
-"""Print one sha256 over every LP solve and rendered report of a fixed input set.
+"""Print a sha256 over every LP solve and rendered report of a fixed input set.
 
 Usage:
     python3 tools/solve_digest.py [--src CHECKOUT]
@@ -9,6 +9,11 @@ solution or row-price bit, or a report byte changes it. Row prices, empty
 unless a solve is optimal, are hashed because the envelopment form reads
 its weights from them. Run it once with ``--src`` pointing at the parent
 commit's checkout and once without, and compare.
+
+Besides the total, each input group below gets its own digest, solve and
+pivot count (the random LPs; the bundled set; ``sparse-n100``;
+``dense-n100``; the ``batch-small`` sets), so a change meant to reach
+only some groups can show that the others kept every byte.
 
 netdea is imported from ``CHECKOUT/src`` (default: the checkout this script
 lives in). The inputs always come from this script's own checkout, and
@@ -62,29 +67,53 @@ def random_lp(nd, rng):
                             tuple(senses), b, lb)
 
 
-class Digest:
+class Tally:
+    """A sha256 with the solves and pivots it has taken in."""
+
     def __init__(self):
         self.sha = hashlib.sha256()
-        self.solves = self.pivots = self.failures = 0
+        self.solves = self.pivots = 0
+
+    def line(self) -> str:
+        return f"solves {self.solves}, pivots {self.pivots}, {self.sha.hexdigest()}"
+
+
+class Digest:
+    """The total tally and one per input group; every part goes into the
+    total and into the tally of the group named last by start()."""
+
+    def __init__(self):
+        self.total = Tally()
+        self.groups = {}
+        self.failures = 0
+
+    def start(self, group: str):
+        self.group = self.groups.setdefault(group, Tally())
+
+    def _update(self, part: bytes):
+        for tally in (self.total, self.group):
+            tally.sha.update(part + b"\0")
 
     def solve(self, sol):
-        self.solves += 1
-        self.pivots += sol.iterations
+        for tally in (self.total, self.group):
+            tally.solves += 1
+            tally.pivots += sol.iterations
         for part in (sol.status.value.encode(), str(sol.iterations).encode(),
                      np.float64(sol.objective_value).tobytes(),
                      sol.variable_values.tobytes(), sol.row_prices.tobytes()):
-            self.sha.update(part + b"\0")
+            self._update(part)
 
     def text(self, text: str):
-        self.sha.update(text.encode() + b"\0")
+        self._update(text.encode())
 
 
 def library_inputs(nd):
-    yield "bundled", Path(nd.bundled_dataset_path()).read_text(encoding="utf-8")
+    """(group, name, csv text) of each dataset, in a fixed order."""
+    yield "bundled", "bundled", Path(nd.bundled_dataset_path()).read_text(encoding="utf-8")
     for workload in ("sparse-n100", "dense-n100"):
-        yield workload, generate.library_cases(workload, LIBRARY_SEED)[0].csv_text
+        yield workload, workload, generate.library_cases(workload, LIBRARY_SEED)[0].csv_text
     for i, case in enumerate(generate.library_cases("batch-small", LIBRARY_SEED)):
-        yield f"batch-small set {i}", case.csv_text
+        yield "batch-small", f"batch-small set {i}", case.csv_text
 
 
 def main(argv=None) -> int:
@@ -99,6 +128,7 @@ def main(argv=None) -> int:
     if not Path(nd.__file__).resolve().is_relative_to(src):
         raise SystemExit(f"netdea was imported from {nd.__file__}, not from {src}")
     out = Digest()
+    out.start("random LPs")
     rng = np.random.default_rng(RANDOM_SEED)
     statuses = Counter()
     for _ in range(RANDOM_LPS):
@@ -116,7 +146,8 @@ def main(argv=None) -> int:
         return sol
 
     nd.models.solve_lp = recording_solve
-    for name, text in library_inputs(nd):
+    for group, name, text in library_inputs(nd):
+        out.start(group)
         data = nd.parse_dataset(text)
         for priority in nd.StagePriority:
             cfg = nd.SolverConfig(stage_priority=priority)
@@ -132,8 +163,9 @@ def main(argv=None) -> int:
             report = nd.build_report(relational, ccr, cfg)
             for fmt in ("table", "csv", "json"):
                 out.text(nd.render_report(report, fmt))
-    print(f"solves {out.solves}, pivots {out.pivots}, failed runs {out.failures}")
-    print(out.sha.hexdigest())
+    for group, tally in out.groups.items():
+        print(f"{group}: {tally.line()}")
+    print(f"total: {out.total.line()}, failed runs {out.failures}")
     return 0
 
 

@@ -9,18 +9,8 @@ Solves maximization problems of the form
 The engine is self-contained: no external solver is involved. Bland's
 pivoting rule is used throughout, which guarantees termination on the
 degenerate programs that multiplier-form DEA produces. All storage is
-dense. The multiplier LPs built by this package have one column per weight,
-usually a handful, and one row per ratio constraint: a relational LP over
-n DMUs has up to 2n + 2 rows. From 40 DMUs up, the models drop the ratio
-rows that other rows imply, which leaves 30 of the 202 rows of the pinned
-relational LP of the benchmark's dispersed 100-DMU 3/2/2 set. They also
-solve their unpinned LPs as envelopment duals, which turn this around: a
-row per weight and a column per ratio row, so the relational LP of that
-set has an 8 x 38 tableau. A pivot row of an envelopment tableau is
-mostly nonzero, and _pivot then updates the whole tableau at once instead
-of gathering its nonzero columns. An OPTIMAL result is proved by solve_lp
-and carries the row prices that certify it, which is how the models read
-the weights back from an envelopment solve.
+dense, and every pivot updates the whole tableau. An OPTIMAL result is
+proved by solve_lp and carries the row prices that certify it.
 
 The tableau is built over t = x - lb >= 0, with the rows of negative
 shifted rhs negated. Its columns are the variables, a slack per <= row, a
@@ -28,12 +18,11 @@ surplus per >= row (each group in row order) and the rhs. Every LP runs
 phase 1 (with no artificial, it ends after 0 pivots). A row without a
 slack starts with an artificial basic: the basis label art_start + i, never
 a column. Every basic column is an exact unit vector, since a pivot leaves
-its entering column exact (x / x is 1.0, x - x * 1.0 is +0.0). So the
-pivot row is zero in the other basic columns, and a pivot need update only
-its nonzero columns, each from itself, the pivot row and the pivot column. An
-artificial column would change no other byte, and no pivot would read it:
-while basic its reduced cost is exactly 0, and once it leaves it may not
-re-enter. So storing the artificials as labels alone is exact.
+its entering column exact (x / x is 1.0, x - x * 1.0 is +0.0), and a
+pivot updates each column from itself, the pivot row and the pivot column
+only. An artificial column would change no other byte, and no pivot would
+read it: while basic its reduced cost is exactly 0, and once it leaves it
+may not re-enter. So storing the artificials as labels alone is exact.
 """
 
 from __future__ import annotations
@@ -49,16 +38,6 @@ GREATER_EQUAL = ">="
 _SENSES = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
 
 _SMALL_PIVOT_STRIKE_LIMIT = 3
-
-#: _pivot updates the whole tableau, not just the pivot row's nonzero
-#: columns, when the tableau has at most this many cells or at least half of
-#: the pivot row is nonzero: the gather's fixed cost then outweighs the cells
-#: it skips. Median per pivot, whole against gather: 5.8 vs 9.4 us on the
-#: bundled set's 29 x 36 tableaus, 9.1 vs 9.9 us at 63 x 70 and 12.8 vs
-#: 10.7 us at 81 x 88 (multiplier LPs of 3/2/2 sets), and 5.9 vs 16.5 us on
-#: the 8 x 210 envelopment tableaus of a 100-DMU 3/2/2 set with all its
-#: ratio rows, whose pivot rows hold a median of 203 nonzeros.
-_WHOLE_UPDATE_CELLS = 4096
 
 #: Largest constraint violation (and phase-1 objective) accepted as feasible.
 FEASIBILITY_TOL = 1e-9
@@ -77,8 +56,8 @@ class SolveStatus(enum.Enum):
     NUMERICAL_FAILURE = "numerical_failure"
 
 
-def _as_readonly(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype, order="C")  # layout changes how A @ x rounds
+def _as_readonly(values) -> np.ndarray:
+    arr = np.array(values, dtype=float, order="C")  # layout changes how A @ x rounds
     arr.setflags(write=False)
     return arr
 
@@ -174,13 +153,7 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     pivot_row /= pivot_row[col]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    if T.size <= _WHOLE_UPDATE_CELLS or 2 * np.count_nonzero(pivot_row) >= pivot_row.size:
-        # A zero column only loses factor * 0.0, so the whole update is
-        # exact too.
-        T -= np.outer(factors, pivot_row)
-    else:
-        nz = pivot_row.nonzero()[0]
-        T[:, nz] -= factors[:, None] * pivot_row[nz]
+    T -= np.outer(factors, pivot_row)
     basis[row] = col
 
 

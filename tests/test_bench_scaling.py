@@ -1,0 +1,22 @@
+"""Smoke test of tools/bench_scaling.py: its per-set worker still runs
+against this checkout's netdea and counts the bundled set's pivots."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "bench_scaling.py"
+
+
+def test_one_set_bundled():
+    worker = subprocess.run([sys.executable, str(SCRIPT), "--one-set", "bundled"],
+                            capture_output=True, text=True, check=True, timeout=60)
+    result = json.loads(worker.stdout)
+    assert "error" not in result
+    assert result["n"] == 13
+    assert len(result["times_s"]) == 3
+    # Below 40 DMUs every LP is in multiplier form; the total is the one
+    # test_bundled_full_analysis_pivot_count pins for the default config.
+    assert all(kind.endswith(" multiplier") for kind in result["pivots"])
+    assert sum(kind["pivots"] for kind in result["pivots"].values()) == 159

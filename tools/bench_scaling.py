@@ -14,17 +14,21 @@ The inputs always come from this script's own checkout, and
   size from which models.py reduces the ratio rows and solves the unpinned
   LPs in envelopment form.
 
-The checkouts take turns set by set, and the side that goes first
-alternates from one set to the next, so host drift over the session lands
-on every side alike. Each set is timed in a fresh process per checkout: it
-is parsed afresh and solved by ``run_full_analysis`` under the default
-config three times (once from n = 1000 up), and the best time counts. A run
-that raises a netdea error is recorded with the error instead. Every LP's
-pivots are summed by kind (relational, stage-priority, CCR) and form
-(multiplier or envelopment); these counts repeat exactly and do not drift
-with the host. One ``netdea compare`` process on the bundled set is timed
-three times per checkout, the checkouts again taking turns. Time and pivot
-exponents in n are fitted from n = 200 to 400 and from 400 to 1000.
+Each set is timed in three fresh processes per checkout (one from n = 1000
+up). The checkouts take turns process by process, and the side that goes
+first alternates from one turn to the next, so host drift over the run
+lands on every side alike. In each process the set is parsed afresh and
+solved by ``run_full_analysis`` under the default config three times (once
+from n = 1000 up), and the best time is that process's. A process carries
+its own speed, which on the small sets moves its best by more than a real
+change would, so a set's time is the median of its processes' bests; every
+process's times are stored too. A run that raises a netdea error is
+recorded with the error instead. Every LP's pivots are summed by kind
+(relational, stage-priority, CCR) and form (multiplier or envelopment);
+these counts repeat exactly and do not drift with the host. One ``netdea
+compare`` process on the bundled set is timed three times per checkout,
+the checkouts again taking turns. Time and pivot exponents in n are fitted
+from n = 200 to 400 and from 400 to 1000.
 
 Each checkout's result is stored under its label in the json file
 ``--out``; other labels already in that file are kept. The script records
@@ -51,8 +55,9 @@ import generate  # noqa: E402
 
 SIZES = (20, 30, 40, 50, 100, 200, 400, 1000)
 REPEATS = 3
-#: From this many DMUs up a set is timed once: without the row reduction
-#: of models._undominated one run takes minutes there.
+PROCESSES = 3
+#: From this many DMUs up a set is timed once, in one process: without the
+#: row reduction of models._undominated one run takes minutes there.
 ONCE_FROM = 1000
 FITS = ((200, 400), (400, 1000))
 SETS = ["bundled"] + [f"dispersed n={n}" for n in SIZES]
@@ -158,10 +163,26 @@ def exponents(sets: list) -> list:
             ratio = math.log(large / small)
             fits.append({
                 "from_n": small, "to_n": large,
-                "time": math.log(by_n[large]["best_s"] / by_n[small]["best_s"]) / ratio,
+                "time": math.log(by_n[large]["median_best_s"]
+                                 / by_n[small]["median_best_s"]) / ratio,
                 "pivots": math.log(pivots[1] / pivots[0]) / ratio,
             })
     return fits
+
+
+def merge_processes(runs: list) -> dict:
+    """One set's record from its processes' time_set results: the median of
+    their best times, each process's times, the first process's pivots and
+    the first error, if any."""
+    errors = [run["error"] for run in runs if "error" in run]
+    result = {"name": runs[0]["name"], "n": runs[0]["n"],
+              "median_best_s": float(np.median([run["best_s"] for run in runs])),
+              "processes": [{"best_s": run["best_s"], "times_s": run["times_s"]}
+                            for run in runs],
+              "pivots": runs[0]["pivots"]}
+    if errors:
+        result["error"] = errors[0]
+    return result
 
 
 def parse_src(value: str) -> tuple:
@@ -188,15 +209,24 @@ def main(argv=None) -> int:
 
     results = {label: {"machine": machine_info(), "sets": [], "compare_cli": {"times_s": []}}
                for label, _ in sides}
-    for i, name in enumerate(SETS):
-        for label, src in sides[::-1] if i % 2 else sides:
-            worker = subprocess.run(
-                [sys.executable, __file__, "--one-set", name, "--src", f"{label}={src.parent}"],
-                capture_output=True, text=True, check=True)
-            result = json.loads(worker.stdout)
+    turn = 0
+    for name in SETS:
+        runs = {label: [] for label, _ in sides}
+        for _ in range(PROCESSES):
+            for label, src in sides[::-1] if turn % 2 else sides:
+                worker = subprocess.run(
+                    [sys.executable, __file__, "--one-set", name, "--src", f"{label}={src.parent}"],
+                    capture_output=True, text=True, check=True)
+                runs[label].append(json.loads(worker.stdout))
+            turn += 1
+            if runs[label][0]["n"] >= ONCE_FROM:
+                break
+        for label, _ in sides:
+            result = merge_processes(runs[label])
             results[label]["sets"].append(result)
             pivots = sum(k["pivots"] for k in result["pivots"].values())
-            print(f"{label} {name}: best {result['best_s']:.3f} s, pivots {pivots}"
+            print(f"{label} {name}: median best {result['median_best_s']:.3f} s"
+                  f" over {len(runs[label])} processes, pivots {pivots}"
                   + (f", {result['error']}" if "error" in result else ""), flush=True)
     for i in range(REPEATS):
         for label, src in sides[::-1] if i % 2 else sides:

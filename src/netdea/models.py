@@ -245,21 +245,16 @@ def _undominated(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Rows are visited by descending ratio at unit weights, which no row has
     below a row it implies, and kept unless an already-kept row implies
     them: every dropped row has a kept row that implies it directly, and a
-    tie group keeps one row. Blocks of 64 rows keep the floats to 64 x n x
-    d; the implications take an n x n boolean matrix.
+    tie group keeps one row.
     """
-    n = len(a)
     order = np.argsort(a.sum(axis=1) / b.sum(axis=1), kind="stable")
     a, b = a[order], b[order]
-    implies = np.empty((n, n), dtype=bool)
-    for start in range(0, n, 64):
-        block = slice(start, start + 64)
-        most = (b / b[block, None]).max(axis=2)
-        least = (a / a[block, None]).min(axis=2)
-        implies[block] = most <= least * (1.0 + 1e-12)
-    kept = np.zeros(n, dtype=bool)
-    for j in range(n):
-        kept[j] = not implies[kept, j].any()
+    kept = []
+    for j in range(len(a)):
+        most = (b[j] / b[kept]).max(axis=1)
+        least = (a[j] / a[kept]).min(axis=1)
+        if not (most <= least * (1.0 + 1e-12)).any():
+            kept.append(j)
     return np.sort(order[kept])
 
 

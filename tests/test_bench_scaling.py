@@ -1,5 +1,6 @@
 """Smoke test of tools/bench_scaling.py: its per-set worker still runs
-against this checkout's netdea and counts the bundled set's pivots."""
+against this checkout's netdea, counts the bundled set's pivots and records
+a dense set's peak RSS."""
 
 import json
 import subprocess
@@ -20,3 +21,12 @@ def test_one_set_bundled():
     # test_bundled_full_analysis_pivot_count pins for the default config.
     assert all(kind.endswith(" multiplier") for kind in result["pivots"])
     assert sum(kind["pivots"] for kind in result["pivots"].values()) == 159
+
+
+def test_one_set_half_on_frontier():
+    worker = subprocess.run([sys.executable, str(SCRIPT), "--one-set", "half_on_frontier n=100"],
+                            capture_output=True, text=True, check=True, timeout=120)
+    result = json.loads(worker.stdout)
+    assert "error" not in result
+    assert result["n"] == 100
+    assert result["peak_rss_mb"] > 0

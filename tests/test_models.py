@@ -608,7 +608,8 @@ class TestFullAnalysisLpReference:
     def test_bundled_data(self, monkeypatch, table1):
         self._check(monkeypatch, table1)
 
-    # 70 DMUs take _undominated two blocks of rows.
+    # From 40 DMUs up the LPs keep only the undominated rows and are solved
+    # in envelopment form; 47 and 70 add other shapes and sizes.
     @pytest.mark.parametrize("n,shape", [(40, (3, 2, 2)), (47, (1, 3, 2)), (70, (2, 2, 3))])
     def test_envelopment_form(self, monkeypatch, make_random_dataset, n, shape):
         self._check(monkeypatch, make_random_dataset(np.random.default_rng(n), n, *shape))
@@ -781,14 +782,37 @@ class TestImpliedRows:
         data = half_on_frontier_dataset(np.random.default_rng(16), 40)
         assert len(data._lp_system.ratio_rows["wv"]) == 1
 
+    def test_matches_the_pairwise_loop(self):
+        # Any shape, entries over 18 decades, and planted rows that are
+        # duplicates or exact multiples of others, so that ties abound.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(derandomize=True, deadline=None, max_examples=200,
+                             database=None)
+        @hypothesis.given(st.integers(1, 150), st.integers(1, 4), st.integers(1, 4),
+                          st.integers(0, 2**32 - 1), st.data())
+        def check(n, d_in, d_out, seed, data):
+            rng = np.random.default_rng(seed)
+            raw = 10.0 ** rng.uniform(-6, 12, (n, d_in + d_out))
+            for j in rng.choice(n, data.draw(st.integers(0, n // 2)), replace=False):
+                raw[j] = raw[rng.integers(n)] * rng.choice([1.0, 0.1, 3.0])
+            raw /= raw.max(axis=0)
+            inputs, outputs = raw[:, :d_in], raw[:, d_in:]
+            assert list(models._undominated(inputs, outputs)) == reference_kept_rows(inputs, outputs)
+
+        check()
+
     @pytest.mark.parametrize("case", [
         ("near_frontier", (2, 40, 2), (40, 2, 2, 2), StagePriority.FIRST_STAGE, 38),
         ("dispersed", (3, 150, 0), (150, 3, 2, 2), StagePriority.SECOND_STAGE, 25),
+        ("dispersed", 100, (100, 3, 2, 2), StagePriority.SECOND_STAGE, 89),
     ])
     def test_stage_priority_matches_highs(self, case):
-        # The pinned LP of these DMUs ended in numerical_failure with every
-        # ratio row. Both scores against HiGHS on the LPs with all 2n
-        # stage rows.
+        # The pinned LP of the first two DMUs ended in numerical_failure
+        # with every ratio row. The third's pinned LP stays in multiplier
+        # form: solved as its envelopment dual, phase 1 ended "unbounded".
+        # Both scores against HiGHS on the LPs with all 2n stage rows.
         optimize = pytest.importorskip("scipy.optimize")
         generator, seed, shape, priority, k = case
         X, Z, Y = getattr(_perfbench_generate(), generator)(np.random.default_rng(seed), *shape)

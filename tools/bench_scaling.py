@@ -10,9 +10,11 @@ The inputs always come from this script's own checkout, and
 
 * the bundled 13-DMU set;
 * ``generate.dispersed(np.random.default_rng(0), n, 3, 1, 1)`` for
-  n = 20, 30, 40, 50, 100, 200, 400 and 1000; the first three bracket the
-  size from which models.py reduces the ratio rows and solves the unpinned
-  LPs in envelopment form.
+  n = 20, 30, 40, 50, 100, 200, 400, 1000, 3000 and 10,000; the first three
+  bracket the size from which models.py reduces the ratio rows and solves
+  the unpinned LPs in envelopment form;
+* ``generate.half_on_frontier(np.random.default_rng(0), n)`` for n = 100,
+  400 and 1000: dense sets, which keep about half their ratio rows.
 
 Each set is timed in three fresh processes per checkout (one from n = 1000
 up). The checkouts take turns process by process, and the side that goes
@@ -22,13 +24,15 @@ solved by ``run_full_analysis`` under the default config three times (once
 from n = 1000 up), and the best time is that process's. A process carries
 its own speed, which on the small sets moves its best by more than a real
 change would, so a set's time is the median of its processes' bests; every
-process's times are stored too. A run that raises a netdea error is
-recorded with the error instead. Every LP's pivots are summed by kind
+process's times are stored too, with its peak resident set size
+(``ru_maxrss``). A run that raises a netdea error is recorded with the
+error instead. Every LP's pivots are summed by kind
 (relational, stage-priority, CCR) and form (multiplier or envelopment);
 these counts repeat exactly and do not drift with the host. One ``netdea
 compare`` process on the bundled set is timed three times per checkout,
 the checkouts again taking turns. Time and pivot exponents in n are fitted
-from n = 200 to 400 and from 400 to 1000.
+per family from n = 200 to 400, 400 to 1000 and 1000 to 10,000, wherever
+the family has both sizes.
 
 Each checkout's result is stored under its label in the json file
 ``--out``; other labels already in that file are kept. The script records
@@ -42,6 +46,7 @@ import json
 import math
 import os
 import platform
+import resource
 import subprocess
 import sys
 import time
@@ -53,14 +58,20 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 import generate  # noqa: E402
 
-SIZES = (20, 30, 40, 50, 100, 200, 400, 1000)
+#: Each synthetic family's data from its rng and n, and the sizes timed.
+FAMILIES = {
+    "dispersed": (lambda rng, n: generate.dispersed(rng, n, 3, 1, 1),
+                  (20, 30, 40, 50, 100, 200, 400, 1000, 3000, 10_000)),
+    "half_on_frontier": (generate.half_on_frontier, (100, 400, 1000)),
+}
 REPEATS = 3
 PROCESSES = 3
 #: From this many DMUs up a set is timed once, in one process: without the
 #: row reduction of models._undominated one run takes minutes there.
 ONCE_FROM = 1000
-FITS = ((200, 400), (400, 1000))
-SETS = ["bundled"] + [f"dispersed n={n}" for n in SIZES]
+FITS = ((200, 400), (400, 1000), (1000, 10_000))
+SETS = ["bundled"] + [f"{family} n={n}" for family, (_, sizes) in FAMILIES.items()
+                      for n in sizes]
 
 
 def machine_info() -> dict:
@@ -109,8 +120,8 @@ class PivotCounter:
 def set_text(nd, name: str) -> str:
     if name == "bundled":
         return Path(nd.bundled_dataset_path()).read_text(encoding="utf-8")
-    n = int(name.removeprefix("dispersed n="))
-    return generate.to_csv(*generate.dispersed(np.random.default_rng(0), n, 3, 1, 1))
+    family, _, n = name.partition(" n=")
+    return generate.to_csv(*FAMILIES[family][0](np.random.default_rng(0), int(n)))
 
 
 def time_set(src: Path, name: str) -> dict:
@@ -135,8 +146,10 @@ def time_set(src: Path, name: str) -> dict:
         times.append(time.perf_counter() - start)
         if error:
             break
+    # ru_maxrss is in KiB on Linux.
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     result = {"name": name, "n": n, "best_s": min(times), "times_s": times,
-              "pivots": counter.report()}
+              "peak_rss_mb": peak_rss_mb, "pivots": counter.report()}
     if error:
         result["error"] = error
     return result
@@ -154,17 +167,18 @@ def time_cli(src: Path) -> float:
 
 
 def exponents(sets: list) -> list:
-    by_n = {s["n"]: s for s in sets if "error" not in s}
+    by_name = {s["name"]: s for s in sets if "error" not in s}
     fits = []
-    for small, large in FITS:
-        if small in by_n and large in by_n:
-            pivots = [sum(k["pivots"] for k in by_n[n]["pivots"].values())
-                      for n in (small, large)]
+    for family in FAMILIES:
+        for small, large in FITS:
+            pair = [by_name.get(f"{family} n={n}") for n in (small, large)]
+            if None in pair:
+                continue
+            pivots = [sum(k["pivots"] for k in s["pivots"].values()) for s in pair]
             ratio = math.log(large / small)
             fits.append({
-                "from_n": small, "to_n": large,
-                "time": math.log(by_n[large]["median_best_s"]
-                                 / by_n[small]["median_best_s"]) / ratio,
+                "family": family, "from_n": small, "to_n": large,
+                "time": math.log(pair[1]["median_best_s"] / pair[0]["median_best_s"]) / ratio,
                 "pivots": math.log(pivots[1] / pivots[0]) / ratio,
             })
     return fits
@@ -172,13 +186,14 @@ def exponents(sets: list) -> list:
 
 def merge_processes(runs: list) -> dict:
     """One set's record from its processes' time_set results: the median of
-    their best times, each process's times, the first process's pivots and
-    the first error, if any."""
+    their best times, the largest peak RSS, each process's times and peak
+    RSS, the first process's pivots and the first error, if any."""
     errors = [run["error"] for run in runs if "error" in run]
     result = {"name": runs[0]["name"], "n": runs[0]["n"],
               "median_best_s": float(np.median([run["best_s"] for run in runs])),
-              "processes": [{"best_s": run["best_s"], "times_s": run["times_s"]}
-                            for run in runs],
+              "peak_rss_mb": max(run["peak_rss_mb"] for run in runs),
+              "processes": [{"best_s": run["best_s"], "times_s": run["times_s"],
+                             "peak_rss_mb": run["peak_rss_mb"]} for run in runs],
               "pivots": runs[0]["pivots"]}
     if errors:
         result["error"] = errors[0]
@@ -226,7 +241,8 @@ def main(argv=None) -> int:
             results[label]["sets"].append(result)
             pivots = sum(k["pivots"] for k in result["pivots"].values())
             print(f"{label} {name}: median best {result['median_best_s']:.3f} s"
-                  f" over {len(runs[label])} processes, pivots {pivots}"
+                  f" over {len(runs[label])} processes, pivots {pivots},"
+                  f" peak RSS {result['peak_rss_mb']:.0f} MB"
                   + (f", {result['error']}" if "error" in result else ""), flush=True)
     for i in range(REPEATS):
         for label, src in sides[::-1] if i % 2 else sides:

@@ -142,8 +142,8 @@ def _install_objective(T: np.ndarray, basis: np.ndarray, coeffs: np.ndarray) -> 
     # indexed by basis label, past the stored columns for the artificials.
     T[-1, :-1] = coeffs[:T.shape[1] - 1]
     T[-1, -1] = 0.0
-    rows = np.nonzero(coeffs[basis])[0]  # subtracted in row order, one at a time
-    stack = T[np.r_[-1, rows]]
+    rows = coeffs[basis].nonzero()[0]  # subtracted in row order, one at a time
+    stack = T[np.concatenate(([-1], rows))]
     stack[1:] *= coeffs[basis[rows], None]
     T[-1] = np.subtract.reduce(stack)
 
@@ -153,7 +153,7 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     pivot_row /= pivot_row[col]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, pivot_row)
+    T -= factors[:, None] * pivot_row
     basis[row] = col
 
 
@@ -164,28 +164,34 @@ def _iterate(T: np.ndarray, basis: np.ndarray, budget: int):
     "iteration_cap", "small_pivots". Only stored columns can enter, so a
     basis label past them (a phase-1 artificial) can only leave.
     """
+    # Views into T, which every pivot updates in place.
+    costs, body, values = T[-1, :-1], T[:-1], T[:-1, -1]
+    if costs.size == 0:  # no column can enter
+        return "optimal", 0
     iterations = 0
     strikes = 0
     while True:
-        improving = np.nonzero(T[-1, :-1] > OPTIMALITY_TOL)[0]
-        if improving.size == 0:
+        improving = costs > OPTIMALITY_TOL
+        col = int(improving.argmax())  # Bland: lowest improving index, if any
+        if not improving[col]:
             return "optimal", iterations
         if iterations >= budget:
             return "iteration_cap", iterations
-        col = int(improving[0])  # Bland: lowest improving index
-        column = T[:-1, col]
+        column = body[:, col]
         # Entries below PIVOT_TOL relative to the column's own magnitude are
         # elimination residue, never real pivots; a column with none above
         # that certifies an unbounded ray.
         threshold = PIVOT_TOL * float(np.abs(column).max(initial=1.0))
-        candidates = np.nonzero(column > threshold)[0]
+        candidates = (column > threshold).nonzero()[0]
         if candidates.size == 0:
             return "unbounded", iterations
-        rhs = np.maximum(T[candidates, -1], 0.0)
-        ratios = rhs / column[candidates]
-        best = ratios.min()
-        tied = candidates[ratios <= best + 1e-12 * max(1.0, abs(best))]
-        row = int(tied[np.argmin(basis[tied])])  # Bland tie-break: lowest basic index
+        row = int(candidates[0])
+        if candidates.size > 1:  # the ratio test, needed only between rows
+            ratios = np.maximum(values[candidates], 0.0) / column[candidates]
+            best = ratios.min()
+            tied = candidates[ratios <= best + 1e-12 * max(1.0, abs(best))]
+            # Bland tie-break: lowest basic index
+            row = int(tied[0] if tied.size == 1 else tied[basis[tied].argmin()])
         if column[row] < 1e3 * threshold:
             # The forced pivot sits barely above tolerance; one such step is
             # survivable, a run of them means the tableau has degraded.
@@ -236,7 +242,7 @@ def _initial_tableau(lp: LinearProgram, le: np.ndarray, ge: np.ndarray):
     basis = np.empty(m, dtype=int)
     basis[slack_rows] = slack_cols
     basis[art_rows] = np.arange(art_start, art_start + art_rows.size)
-    return T, basis, art_start, np.r_[slack_rows, surplus_rows]
+    return T, basis, art_start, np.concatenate((slack_rows, surplus_rows))
 
 
 def _row_prices(lp: LinearProgram, basis: np.ndarray, kept: np.ndarray,
@@ -277,6 +283,11 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     phase1[art_start:] = -1.0  # cost of each artificial label
     _install_objective(T, basis, phase1)
     outcome, iterations = _iterate(T, basis, MAX_ITERATIONS)
+    if outcome == "unbounded" and T[-1, -1] <= FEASIBILITY_TOL:
+        # Phase 1 is bounded by construction, so such a ray is elimination
+        # residue. From a basis already feasible phase 2 goes on, and the
+        # certificate decides.
+        outcome = "optimal"
     if outcome != "optimal":
         # Phase 1 is bounded by construction, so anything else is numeric.
         return LpSolution(SolveStatus.NUMERICAL_FAILURE, iterations=iterations)

@@ -272,6 +272,11 @@ class _LpSystem:
     "wv" (one stage) or "uwv" (relational). So the relational LP has no
     whole-process row y_j.v - x_j.u <= 0: it is the sum of DMU j's two stage
     rows, which imply it (Kao & Hwang 2008, EJOR 185).
+
+    Each chain's ratio block, its links' rows stacked in chain order over
+    the chain's own columns, is built once per dataset too, read-only, and
+    so is the column slice of each of its slots. An LP then only writes its
+    one or two equality rows above a copy of the block.
     """
 
     def __init__(self, data: Dataset):
@@ -287,7 +292,15 @@ class _LpSystem:
             if data.n >= ENVELOPMENT_MIN_DMUS:
                 rows = rows[_undominated(self.normalized[a], self.normalized[b])]
             self.ratio_rows[a + b] = rows
-        for arr in (*self.normalized.values(), *self.ratio_rows.values()):
+        self.blocks, self.chain_columns = {}, {}
+        for chain in ("uv", "uw", "wv", "uwv"):
+            rows = np.vstack([self.ratio_rows[a + b] for a, b in zip(chain, chain[1:])])
+            self.blocks[chain] = np.hstack([rows[:, self.columns[slot]] for slot in chain])
+            widths = np.cumsum([0] + [self.normalized[slot].shape[1] for slot in chain])
+            self.chain_columns[chain] = {slot: slice(*widths[i:i + 2])
+                                         for i, slot in enumerate(chain)}
+        for arr in (*self.normalized.values(), *self.ratio_rows.values(),
+                    *self.blocks.values()):
             arr.setflags(write=False)
 
     def lp(self, k: int, chain: str, scored: str, epsilon: float,
@@ -298,24 +311,26 @@ class _LpSystem:
         x_k.u when pinned, the ratio rows of the chain's links in chain
         order <= 0, and t >= epsilon.
         """
-        norm, cols = self.normalized, self.columns
+        norm, cols = self.normalized, self.chain_columns[chain]
         normalization, objective = scored
-        top = np.zeros((2 if pinned_overall is None else 3, cols["v"].stop))
-        top[0, cols[objective]] = norm[objective][k]
-        top[1, cols[normalization]] = norm[normalization][k]
+        block = self.blocks[chain]
+        eqs = 1 if pinned_overall is None else 2
+        matrix = np.zeros((eqs + len(block), block.shape[1]))
+        matrix[eqs:] = block
+        matrix[0, cols[normalization]] = norm[normalization][k]
         if pinned_overall is not None:
-            top[2, cols["u"]] = -pinned_overall * norm["u"][k]
-            top[2, cols["v"]] = norm["v"][k]
-        eqs = len(top) - 1
-        links = [self.ratio_rows[a + b] for a, b in zip(chain, chain[1:])]
-        used = np.r_[tuple(cols[slot] for slot in chain)]
-        matrix = np.vstack([top[1:], *links])[:, used]
+            matrix[1, cols["u"]] = -pinned_overall * norm["u"][k]
+            matrix[1, cols["v"]] = norm["v"][k]
+        costs = np.zeros(block.shape[1])
+        costs[cols[objective]] = norm[objective][k]
+        rhs = np.zeros(len(matrix))
+        rhs[0] = 1.0
         return LinearProgram(
-            objective=top[0, used],
+            objective=costs,
             constraint_matrix=matrix,
-            constraint_senses=(EQUAL,) * eqs + (LESS_EQUAL,) * (len(matrix) - eqs),
-            rhs=np.r_[1.0, np.zeros(len(matrix) - 1)],
-            variable_lower_bounds=np.full(len(used), epsilon),
+            constraint_senses=(EQUAL,) * eqs + (LESS_EQUAL,) * len(block),
+            rhs=rhs,
+            variable_lower_bounds=np.full(block.shape[1], epsilon),
         )
 
 
@@ -328,7 +343,7 @@ def _envelopment_lp(lp: LinearProgram) -> LinearProgram:
     eqs = lp.constraint_senses.count(EQUAL)
     b = lp.rhs - A @ lp.variable_lower_bounds
     return LinearProgram(
-        objective=np.r_[-b[:eqs], b[:eqs], -b[eqs:]],
+        objective=np.concatenate((-b[:eqs], b[:eqs], -b[eqs:])),
         constraint_matrix=np.hstack((-A[:eqs].T, A[:eqs].T, -A[eqs:].T)),
         constraint_senses=(LESS_EQUAL,) * lp.num_variables,
         rhs=-lp.objective,
@@ -392,8 +407,8 @@ def _solve(data: Dataset, k: int, cfg: SolverConfig, model: str, chain: str,
     score = sol.objective_value
     if not 0.0 < score <= 1.0 + SCORE_EXCESS_TOL:
         raise SolverFailureError(f"{context}: efficiency {score} is outside (0, 1]")
-    cuts = np.cumsum([system.normalized[slot].shape[1] for slot in chain])[:-1]
-    weights = dict(zip(chain, np.split(sol.variable_values, cuts)))
+    cols = system.chain_columns[chain]
+    weights = {slot: sol.variable_values[cols[slot]] for slot in chain}
     return dmu, min(float(score), 1.0), Multipliers(**weights)
 
 

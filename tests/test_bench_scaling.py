@@ -1,7 +1,8 @@
 """Smoke test of tools/bench_scaling.py: its per-set worker still runs
 against this checkout's netdea, counts the bundled set's pivots and records
-a dense set's peak RSS."""
+a dense set's peak RSS, and the small sets get the most processes."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -30,3 +31,10 @@ def test_one_set_half_on_frontier():
     assert "error" not in result
     assert result["n"] == 100
     assert result["peak_rss_mb"] > 0
+
+
+def test_small_sets_get_more_processes():
+    spec = importlib.util.spec_from_file_location("bench_scaling", SCRIPT)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert [bench.processes(n) for n in (13, 99, 100, 999, 1000)] == [9, 9, 3, 3, 1]

@@ -9,6 +9,7 @@ Solver output is compared against these with a tiny epsilon.
 """
 
 import importlib.util
+import itertools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -351,9 +352,10 @@ class TestErrorPaths:
 
 
 class TestRunFullAnalysis:
+    @pytest.mark.parametrize("n", [100, 400])
     @pytest.mark.parametrize("shape", [(3, 2, 2), (3, 1, 1), "half-on-frontier"])
-    def test_invariants_at_n100(self, make_random_dataset, shape):
-        # The paper's invariants at the benchmarked size: the product
+    def test_invariants_at_n100_and_n400(self, make_random_dataset, shape, n):
+        # The paper's invariants at the benchmarked sizes: the product
         # identity, overall <= CCR, and units invariance. A power-of-two unit
         # per column leaves the normalized LPs bit-identical, so the scaled
         # run must also render the same json bytes, which covers a rerun.
@@ -362,10 +364,10 @@ class TestRunFullAnalysis:
         # whole-process rows they imply, which the relational LPs omit.
         if shape == "half-on-frontier":
             rng = np.random.default_rng(100)
-            data = half_on_frontier_dataset(rng, 100)
+            data = half_on_frontier_dataset(rng, n)
         else:
             rng = np.random.default_rng(100 + shape[1])
-            data = make_random_dataset(rng, 100, *shape)
+            data = make_random_dataset(rng, n, *shape)
         cfg = SolverConfig()
         relational, ccr = run_full_analysis(data, cfg)
         X, Z, Y = reference_normalized_matrices(data)
@@ -615,6 +617,71 @@ class TestFullAnalysisLpReference:
         self._check(monkeypatch, make_random_dataset(np.random.default_rng(n), n, *shape))
 
 
+def stacked_lp_builder(system, k, chain, scored, epsilon, pinned_overall=None):
+    """_LpSystem.lp as it was before the per-chain blocks: the equality rows
+    and every link's ratio rows stacked over all of [u | w | v] for each
+    LP, then restricted to the chain's columns. The tests require bit-equal
+    LPs."""
+    norm, cols = system.normalized, system.columns
+    normalization, objective = scored
+    top = np.zeros((2 if pinned_overall is None else 3, cols["v"].stop))
+    top[0, cols[objective]] = norm[objective][k]
+    top[1, cols[normalization]] = norm[normalization][k]
+    if pinned_overall is not None:
+        top[2, cols["u"]] = -pinned_overall * norm["u"][k]
+        top[2, cols["v"]] = norm["v"][k]
+    eqs = len(top) - 1
+    links = [system.ratio_rows[a + b] for a, b in zip(chain, chain[1:])]
+    used = np.r_[tuple(cols[slot] for slot in chain)]
+    matrix = np.vstack([top[1:], *links])[:, used]
+    return (top[0, used], matrix, (EQUAL,) * eqs + (LESS_EQUAL,) * (len(matrix) - eqs),
+            np.r_[1.0, np.zeros(len(matrix) - 1)], np.full(len(used), epsilon))
+
+
+def stacked_envelopment_builder(lp):
+    """_envelopment_lp as it was with np.r_."""
+    A = lp.constraint_matrix
+    eqs = lp.constraint_senses.count(EQUAL)
+    b = lp.rhs - A @ lp.variable_lower_bounds
+    return (np.r_[-b[:eqs], b[:eqs], -b[eqs:]], np.hstack((-A[:eqs].T, A[:eqs].T, -A[eqs:].T)),
+            (LESS_EQUAL,) * lp.num_variables, -lp.objective, np.zeros(eqs + len(A)))
+
+
+class TestStackedBuilderReference:
+    """Every chain, every ordered pair of its slots as (normalization,
+    objective), pinned where the chain holds u and v and unpinned, for
+    every DMU: _LpSystem.lp and _envelopment_lp against the builders that
+    stacked each LP's rows afresh."""
+
+    @staticmethod
+    def _check(data):
+        system = data._lp_system
+        pins = np.random.default_rng(data.n).uniform(0.05, 1.0, data.n)
+        built = 0
+        for chain in ("uv", "uw", "wv", "uwv"):
+            pinned = (None, "pinned") if {"u", "v"} <= set(chain) else (None,)
+            for scored in itertools.permutations(chain, 2):
+                for pin in pinned:
+                    for k in range(data.n):
+                        overall = None if pin is None else float(pins[k])
+                        lp = system.lp(k, chain, scored, 1e-6, overall)
+                        _assert_same_lp(lp, stacked_lp_builder(system, k, chain, scored,
+                                                               1e-6, overall))
+                        _assert_same_lp(models._envelopment_lp(lp),
+                                        stacked_envelopment_builder(lp))
+                        built += 1
+        assert built == data.n * (2 * 2 + 2 + 2 + 6 * 2)
+
+    def test_bundled_data(self, table1):
+        self._check(table1)
+
+    def test_n100(self, make_random_dataset):
+        # Past ENVELOPMENT_MIN_DMUS, so each link keeps only some rows.
+        data = make_random_dataset(np.random.default_rng(19), 100, 3, 2, 2)
+        assert max(len(rows) for rows in data._lp_system.ratio_rows.values()) < 100
+        self._check(data)
+
+
 def highs_optimum(optimize, reference):
     """HiGHS's optimum of a reference multiplier LP, all of whose weights
     are bounded below by 1e-6."""
@@ -739,6 +806,42 @@ class TestEnvelopmentForm:
                                          (solve_relational_overall(data, k), relational)):
                     assert abs(score - highs_optimum(optimize, reference)) <= 1e-9
 
+    def test_feasible_phase_one_ray_goes_on_to_phase_two(self, monkeypatch):
+        # The relational overall duals of these three DMUs of a 10,000-DMU
+        # set end phase 1 "unbounded" at a phase-1 objective within
+        # FEASIBILITY_TOL: a ray of rounding residue in a bounded phase 1,
+        # from a basis that is already feasible. They were numerical
+        # failures; phase 2 now goes on from there and the certificate
+        # decides. Scores and stage splits against HiGHS on the LPs with
+        # all 2n stage rows.
+        optimize = pytest.importorskip("scipy.optimize")
+        X, Z, Y = _perfbench_generate().dispersed(np.random.default_rng(0), 10_000, 3, 1, 1)
+        ids = tuple(f"D{j + 1}" for j in range(len(X)))
+        data = Dataset(ids, ids, X, Z, Y)
+        X, Z, Y = reference_normalized_matrices(data)
+        iterate, outcomes = lp_core._iterate, []
+
+        def recording_iterate(T, basis, budget):
+            outcome, iterations = iterate(T, basis, budget)
+            outcomes.append((outcome, T[-1, -1]))
+            return outcome, iterations
+
+        monkeypatch.setattr(lp_core, "_iterate", recording_iterate)
+        for dmu in ("D6377", "D6424", "D6895"):
+            k = ids.index(dmu)
+            outcomes.clear()
+            overall = solve_relational_overall(data, k)
+            phase1, phase2 = outcomes
+            assert phase1[0] == "unbounded" and phase1[1] <= FEASIBILITY_TOL
+            assert phase2[0] == "optimal"
+            record = solve_stage_priority(data, k)
+            assert record.overall == overall
+            for pinned, stage, score in ((None, None, overall),
+                                         (overall, StagePriority.SECOND_STAGE, record.stage2)):
+                reference = without_whole_process_rows(
+                    reference_relational_lp(X, Z, Y, k, 1e-6, pinned, stage), data.n)
+                assert abs(score - highs_optimum(optimize, reference)) <= 1e-9
+
 
 class TestImpliedRows:
     """From ENVELOPMENT_MIN_DMUS DMUs up, _LpSystem keeps only the ratio rows
@@ -833,11 +936,15 @@ def test_lp_system_built_once_and_read_only():
     data = load_dataset(bundled_dataset_path())
     assert "_lp_system" not in vars(data)  # parsing builds nothing
     system = data._lp_system
+    blocks = dict(system.blocks)  # one ratio block per chain
+    assert set(blocks) == {"uv", "uw", "wv", "uwv"}
     run_full_analysis(data)
     solve_ccr(data, 0)
     solve_stage_independent(data, 1, StagePriority.FIRST_STAGE)
     solve_stage_priority(data, 2)
     assert data._lp_system is system
-    for arr in (*system.normalized.values(), *system.ratio_rows.values()):
+    assert all(system.blocks[chain] is block for chain, block in blocks.items())
+    for arr in (*system.normalized.values(), *system.ratio_rows.values(),
+                *system.blocks.values()):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 1.0

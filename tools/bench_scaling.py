@@ -16,23 +16,23 @@ The inputs always come from this script's own checkout, and
 * ``generate.half_on_frontier(np.random.default_rng(0), n)`` for n = 100,
   400 and 1000: dense sets, which keep about half their ratio rows.
 
-Each set is timed in three fresh processes per checkout (one from n = 1000
-up). The checkouts take turns process by process, and the side that goes
-first alternates from one turn to the next, so host drift over the run
-lands on every side alike. In each process the set is parsed afresh and
-solved by ``run_full_analysis`` under the default config three times (once
-from n = 1000 up), and the best time is that process's. A process carries
-its own speed, which on the small sets moves its best by more than a real
-change would, so a set's time is the median of its processes' bests; every
-process's times are stored too, with its peak resident set size
-(``ru_maxrss``). A run that raises a netdea error is recorded with the
-error instead. Every LP's pivots are summed by kind
-(relational, stage-priority, CCR) and form (multiplier or envelopment);
-these counts repeat exactly and do not drift with the host. One ``netdea
-compare`` process on the bundled set is timed three times per checkout,
-the checkouts again taking turns. Time and pivot exponents in n are fitted
-per family from n = 200 to 400, 400 to 1000 and 1000 to 10,000, wherever
-the family has both sizes.
+Each set is timed in fresh processes per checkout: nine below n = 100,
+three from there and one from n = 1000 up. The checkouts take turns
+process by process, and the side that goes first alternates from one turn
+to the next, so host drift over the run lands on every side alike. In each
+process the set is parsed afresh and solved by ``run_full_analysis`` under
+the default config three times (once from n = 1000 up), and the best time
+is that process's. A process carries its own speed, which on the small
+sets moves its best by more than a real change would, so a set's time is
+the median of its processes' bests; every process's times are stored too,
+with its peak resident set size (``ru_maxrss``). A run that raises a
+netdea error is recorded with the error instead. Every LP's pivots are
+summed by kind (relational, stage-priority, CCR) and form (multiplier or
+envelopment); these counts repeat exactly and do not drift with the host.
+One ``netdea compare`` process on the bundled set is timed three times
+per checkout, the checkouts again taking turns. Time and pivot exponents
+in n are fitted per family from n = 200 to 400, 400 to 1000 and 1000 to
+10,000, wherever the family has both sizes.
 
 Each checkout's result is stored under its label in the json file
 ``--out``; other labels already in that file are kept. The script records
@@ -65,13 +65,20 @@ FAMILIES = {
     "half_on_frontier": (generate.half_on_frontier, (100, 400, 1000)),
 }
 REPEATS = 3
-PROCESSES = 3
 #: From this many DMUs up a set is timed once, in one process: without the
 #: row reduction of models._undominated one run takes minutes there.
 ONCE_FROM = 1000
+#: Below this many DMUs a run takes tens of milliseconds, mostly fixed
+#: costs per LP, and a process's own speed moves its best the most.
+SMALL_BELOW = 100
 FITS = ((200, 400), (400, 1000), (1000, 10_000))
 SETS = ["bundled"] + [f"{family} n={n}" for family, (_, sizes) in FAMILIES.items()
                       for n in sizes]
+
+
+def processes(n: int) -> int:
+    """Fresh processes that time an n-DMU set, per checkout."""
+    return 1 if n >= ONCE_FROM else 3 if n >= SMALL_BELOW else 9
 
 
 def machine_info() -> dict:
@@ -227,14 +234,14 @@ def main(argv=None) -> int:
     turn = 0
     for name in SETS:
         runs = {label: [] for label, _ in sides}
-        for _ in range(PROCESSES):
+        while True:
             for label, src in sides[::-1] if turn % 2 else sides:
                 worker = subprocess.run(
                     [sys.executable, __file__, "--one-set", name, "--src", f"{label}={src.parent}"],
                     capture_output=True, text=True, check=True)
                 runs[label].append(json.loads(worker.stdout))
             turn += 1
-            if runs[label][0]["n"] >= ONCE_FROM:
+            if len(runs[label]) >= processes(runs[label][0]["n"]):
                 break
         for label, _ in sides:
             result = merge_processes(runs[label])

@@ -101,7 +101,7 @@ class LinearProgram:
             raise ValueError(f"unknown constraint sense {unknown!r}")
         for name, arr in (("objective", obj), ("constraint_matrix", mat),
                           ("rhs", rhs), ("variable_lower_bounds", lb)):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite entries")
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "constraint_matrix", mat)
@@ -215,8 +215,8 @@ def _max_violation(lp: LinearProgram, x: np.ndarray, le: np.ndarray,
     residual = lp.constraint_matrix @ x - lp.rhs
     violation = np.where(ge, -residual, residual)
     violation = np.where(le | ge, violation, np.abs(residual))
-    worst = float(np.max(violation, initial=0.0))
-    bound_gap = float(np.max(lp.variable_lower_bounds - x, initial=0.0))
+    worst = float(violation.max(initial=0.0))
+    bound_gap = float((lp.variable_lower_bounds - x).max(initial=0.0))
     return max(worst, bound_gap)
 
 
@@ -227,7 +227,8 @@ def _initial_tableau(lp: LinearProgram, le: np.ndarray, ge: np.ndarray):
     row's sense flips, so every rhs is >= 0."""
     n, m = lp.num_variables, lp.num_constraints
     A = lp.constraint_matrix
-    Ab = np.column_stack((A, lp.rhs - A @ lp.variable_lower_bounds))
+    Ab = np.empty((m, n + 1))
+    Ab[:, :n], Ab[:, -1] = A, lp.rhs - A @ lp.variable_lower_bounds
     flip = Ab[:, -1] < 0
     np.negative(Ab, out=Ab, where=flip[:, None])
     slack, surplus = np.where(flip, ge, le), np.where(flip, le, ge)  # <= and >= rows
@@ -294,13 +295,13 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     if T[-1, -1] > FEASIBILITY_TOL:
         return LpSolution(SolveStatus.INFEASIBLE, iterations=iterations)
 
-    for i in np.flatnonzero(basis >= art_start):
-        pivots = np.flatnonzero(np.abs(T[i, :-1]) > PIVOT_TOL)
+    for i in (basis >= art_start).nonzero()[0]:
+        pivots = (np.abs(T[i, :-1]) > PIVOT_TOL).nonzero()[0]
         if pivots.size:
             _pivot(T, basis, i, int(pivots[0]))
-    kept = np.flatnonzero(basis < art_start)  # a still-basic artificial: redundant row
-    T = T[np.append(kept, -1)]
-    basis = basis[kept]
+    kept = (basis < art_start).nonzero()[0]  # a still-basic artificial: redundant row
+    if kept.size < basis.size:
+        T, basis = T[np.append(kept, -1)], basis[kept]
 
     phase2 = np.zeros(art_start)
     phase2[:lp.num_variables] = lp.objective
@@ -317,7 +318,10 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     x = lp.variable_lower_bounds + shifted[:lp.num_variables]
     if _max_violation(lp, x, le, ge) > FEASIBILITY_TOL:
         return LpSolution(SolveStatus.NUMERICAL_FAILURE, iterations=iterations)
-    y = _row_prices(lp, basis, kept, owners)
+    try:
+        y = _row_prices(lp, basis, kept, owners)
+    except np.linalg.LinAlgError:  # a singular final basis proves nothing
+        return LpSolution(SolveStatus.NUMERICAL_FAILURE, iterations=iterations)
     reduced = lp.objective - lp.constraint_matrix.T @ y
     value = float(lp.objective @ x)
     gap = value - lp.rhs @ y - reduced @ lp.variable_lower_bounds

@@ -30,10 +30,10 @@ set holds 30 rows, not 202.
 Each model is stated in multiplier form. From ENVELOPMENT_MIN_DMUS DMUs
 up, the LPs without a pinned score (CCR, the independent stages and the
 relational overall score) are solved as their LP duals, the envelopment
-form, which has a row per weight instead of one per ratio constraint. The
-weights are then read back from the dual's row prices, which solve_lp
-certifies. The pinned stage-priority LP is always solved in multiplier
-form.
+form, with a row per weight instead of one per ratio constraint, each
+built straight from blocks kept once per dataset. The weights are read
+back from the dual's row prices, which solve_lp certifies. The pinned
+stage-priority LP is always solved in multiplier form.
 """
 
 from __future__ import annotations
@@ -276,7 +276,8 @@ class _LpSystem:
     Each chain's ratio block, its links' rows stacked in chain order over
     the chain's own columns, is built once per dataset too, read-only, and
     so is the column slice of each of its slots. An LP then only writes its
-    one or two equality rows above a copy of the block.
+    equality rows beside a copy of the block: lp above it, envelopment_lp
+    above its negation, in rows whose transpose is the dual's matrix.
     """
 
     def __init__(self, data: Dataset):
@@ -333,44 +334,49 @@ class _LpSystem:
             variable_lower_bounds=np.full(block.shape[1], epsilon),
         )
 
+    def envelopment_lp(self, k: int, chain: str, scored: str,
+                       epsilon: float) -> LinearProgram:
+        """The LP dual of lp(k, chain, scored, epsilon), max c't s.t. E t = 1,
+        R t <= 0, t >= eps, over s = t - eps >= 0: variables [y+ | y- | lambda]
+        >= 0, a row -(E'y + R'lambda) <= -c per weight, and the objective
+        max -(b_E'y + b_R'lambda) with y = y+ - y- and b = rhs - [E; R] eps.
+        Its matrix is the transpose of the rows [-E; E; -R]; the product of
+        the last ones with eps rounds as [E; R]'s would, R's negated."""
+        cols, block = self.chain_columns[chain], self.blocks[chain]
+        normalization, objective = scored
+        width = block.shape[1]
+        rows = np.zeros((2 + len(block), width))
+        rows[1, cols[normalization]] = self.normalized[normalization][k]
+        np.negative(rows[1], out=rows[0])
+        np.negative(block, out=rows[2:])
+        products = rows[1:] @ np.full(width, epsilon)
+        costs = np.zeros(width)
+        costs[cols[objective]] = self.normalized[objective][k]
+        bound = 1.0 - products[0]
+        return LinearProgram(np.concatenate(((-bound, bound), -products[1:])), rows.T,
+                             (LESS_EQUAL,) * width, -costs, np.zeros(len(rows)))
 
-def _envelopment_lp(lp: LinearProgram) -> LinearProgram:
-    """The LP dual of a multiplier LP max c't s.t. E t = e, R t <= 0,
-    t >= eps, written over s = t - eps >= 0: variables [y+ | y- | lambda]
-    >= 0, one row -(E'y + R'lambda) <= -c per weight, and the objective
-    max -(b_E'y + b_R'lambda) with y = y+ - y- and b = rhs - A eps."""
-    A = lp.constraint_matrix
-    eqs = lp.constraint_senses.count(EQUAL)
-    b = lp.rhs - A @ lp.variable_lower_bounds
-    return LinearProgram(
-        objective=np.concatenate((-b[:eqs], b[:eqs], -b[eqs:])),
-        constraint_matrix=np.hstack((-A[:eqs].T, A[:eqs].T, -A[eqs:].T)),
-        constraint_senses=(LESS_EQUAL,) * lp.num_variables,
-        rhs=-lp.objective,
-        variable_lower_bounds=np.zeros(eqs + len(A)),
-    )
 
-
-def _solve_envelopment(lp: LinearProgram) -> LpSolution:
-    """Solve a multiplier LP through _envelopment_lp, with the result in
-    the multiplier LP's terms: the weights are t = eps + the dual's row
-    prices, the score is c't and row_prices stays empty. An unbounded dual
-    means an infeasible multiplier LP, any other non-optimal status a
-    NUMERICAL_FAILURE. solve_lp's certificate of the dual checks t against
-    the multiplier LP row for row: the price signs are t >= eps, the
-    reduced costs E t = e and R t <= 0, the gap c't against the dual's bound.
+def _solve_envelopment(dual: LinearProgram, epsilon: float) -> LpSolution:
+    """Solve the dual from _LpSystem.envelopment_lp, with the result in the
+    multiplier LP's terms: the weights are t = epsilon + the row prices,
+    the score is c't with c = -dual.rhs and row_prices stays empty. An
+    unbounded dual means an infeasible multiplier LP, any other non-optimal
+    status a NUMERICAL_FAILURE. solve_lp's certificate of the dual checks t
+    against the multiplier LP row for row: the price signs are t >= eps,
+    the reduced costs E t = 1 and R t <= 0, the gap c't against the bound.
 
     The score is c't, not the dual's bound, because a stage-priority LP
     pins it: a bound a rounding error above the optimum can make that LP
     infeasible, as it did for one DMU of a 100-DMU dispersed 3/1/1 set.
     """
-    sol = solve_lp(_envelopment_lp(lp))
+    sol = solve_lp(dual)
     if sol.status is SolveStatus.UNBOUNDED:
         return LpSolution(SolveStatus.INFEASIBLE, iterations=sol.iterations)
     if sol.status is not SolveStatus.OPTIMAL:
         return LpSolution(SolveStatus.NUMERICAL_FAILURE, iterations=sol.iterations)
-    t = lp.variable_lower_bounds + sol.row_prices
-    return LpSolution(SolveStatus.OPTIMAL, objective_value=float(lp.objective @ t),
+    t = epsilon + sol.row_prices
+    return LpSolution(SolveStatus.OPTIMAL, objective_value=float(-dual.rhs @ t),
                       variable_values=_as_readonly(t), iterations=sol.iterations)
 
 
@@ -380,8 +386,8 @@ def _solve(data: Dataset, k: int, cfg: SolverConfig, model: str, chain: str,
     defaults to the chain's ends.
 
     Returns (dmu_id, clamped optimum, weights by slot). An unpinned LP of
-    a dataset with at least ENVELOPMENT_MIN_DMUS DMUs is solved in
-    envelopment form. An infeasible LP is a ConfigurationError (epsilon
+    a dataset with at least ENVELOPMENT_MIN_DMUS DMUs is solved as the
+    dual _LpSystem.envelopment_lp builds. An infeasible LP is a ConfigurationError (epsilon
     too large) unless the overall score is pinned: that LP holds an
     optimum just reached at the same epsilon, so it can only fail
     numerically, like any other non-optimal status.
@@ -391,12 +397,12 @@ def _solve(data: Dataset, k: int, cfg: SolverConfig, model: str, chain: str,
         raise IndexError(f"DMU index {k} out of range for {data.n} DMUs")
     dmu = data.dmu_ids[k]
     context = f"{model} model for DMU {dmu}"
-    system = data._lp_system
-    lp = system.lp(k, chain, scored or chain[0] + chain[-1], cfg.epsilon, pinned_overall)
+    system, scored = data._lp_system, scored or chain[0] + chain[-1]
     if pinned_overall is None and data.n >= ENVELOPMENT_MIN_DMUS:
-        sol = _solve_envelopment(lp)
+        sol = _solve_envelopment(system.envelopment_lp(k, chain, scored, cfg.epsilon),
+                                 cfg.epsilon)
     else:
-        sol = solve_lp(lp)
+        sol = solve_lp(system.lp(k, chain, scored, cfg.epsilon, pinned_overall))
     if sol.status is SolveStatus.INFEASIBLE and pinned_overall is None:
         raise ConfigurationError(
             f"{context}: LP infeasible; epsilon={cfg.epsilon} is too large "

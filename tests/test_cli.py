@@ -2,8 +2,10 @@
 
 import csv
 import io
+import itertools
 import json
 
+import numpy as np
 import pytest
 
 from netdea import bundled_dataset_path
@@ -189,6 +191,23 @@ class TestErrorPaths:
         assert code == EXIT_SOLVER
         assert err == ("netdea: relational model for DMU D1: LP infeasible; "
                        "epsilon=0.5 is too large for the normalized data\n")
+
+    def test_singular_basis_exits_4_naming_dmu(self, monkeypatch, capsys):
+        # The final basis of one LP, DMU D2's relational overall LP, is
+        # singular: the run stops with the solver's exit code, not a
+        # traceback.
+        solve, calls = np.linalg.solve, itertools.count()
+
+        def singular_once(*args):
+            if next(calls) == 3:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_once)
+        code, out, err = run_cli(["compare", "--data", BUNDLED], capsys)
+        assert (code, out) == (EXIT_SOLVER, "")
+        assert err == ("netdea: relational model for DMU D2: "
+                       "solver returned numerical_failure\n")
 
     def test_epsilon_out_of_range_is_usage_error(self, capsys):
         code, _, err = run_cli(

@@ -319,13 +319,14 @@ class TestOptimalityCertificate:
         # an optimal solve into a NUMERICAL_FAILURE: on the relational overall
         # LP of the bundled set's first DMU, on the same LP with every row
         # negated (so its ratio rows are >= rows) and on its envelopment dual.
-        multiplier = load_dataset(bundled_dataset_path())._lp_system.lp(0, "uwv", "uv", 1e-6)
+        system = load_dataset(bundled_dataset_path())._lp_system
+        multiplier = system.lp(0, "uwv", "uv", 1e-6)
         negated = dataclasses.replace(
             multiplier, constraint_matrix=-multiplier.constraint_matrix, rhs=-multiplier.rhs,
             constraint_senses=[{LESS_EQUAL: GREATER_EQUAL}.get(sense, sense)
                                for sense in multiplier.constraint_senses])
         row_prices = lp_core._row_prices
-        for problem in (multiplier, negated, models._envelopment_lp(multiplier)):
+        for problem in (multiplier, negated, system.envelopment_lp(0, "uwv", "uv", 1e-6)):
             final = []
 
             def recording(lp, *final_basis):
@@ -343,6 +344,22 @@ class TestOptimalityCertificate:
             failed = solve_lp(problem)
             assert failed.status is SolveStatus.NUMERICAL_FAILURE
             assert failed.row_prices.size == 0
+
+    def test_singular_final_basis_is_a_numerical_failure(self, monkeypatch):
+        # On an exactly singular final basis np.linalg.solve raises; the
+        # prices then prove nothing, and solve_lp says so in its status.
+        problem = load_dataset(bundled_dataset_path())._lp_system.lp(0, "uwv", "uv", 1e-6)
+        solved = solve_lp(problem)
+        assert solved.status is SolveStatus.OPTIMAL
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        failed = solve_lp(problem)
+        assert failed.status is SolveStatus.NUMERICAL_FAILURE
+        assert failed.iterations == solved.iterations
+        assert failed.row_prices.size == 0
 
 
 def reference_max_violation(problem, x):
@@ -552,9 +569,8 @@ def _threshold_lps():
         system = data._lp_system
         for k in range(0, n, 8):
             for chain in ("uv", "uwv"):
-                problem = system.lp(k, chain, "uv", 1e-6)
-                yield problem
-                yield models._envelopment_lp(problem)
+                yield system.lp(k, chain, "uv", 1e-6)
+                yield system.envelopment_lp(k, chain, "uv", 1e-6)
 
 
 def _kernel_cases(make_random_lp):

@@ -617,6 +617,28 @@ class TestFullAnalysisLpReference:
         self._check(monkeypatch, make_random_dataset(np.random.default_rng(n), n, *shape))
 
 
+def test_one_linear_program_per_solve(monkeypatch, make_random_dataset):
+    # In envelopment form too, the LP solve_lp receives is the only one
+    # built: the dual comes straight from the dataset's blocks.
+    data = make_random_dataset(np.random.default_rng(41), 41, 3, 2, 2)
+    built, solved = [], []
+    post_init = LinearProgram.__post_init__
+
+    def recording_post_init(problem):
+        built.append(problem)
+        post_init(problem)
+
+    def recording_solve(problem):
+        solved.append(problem)
+        return solve_lp(problem)
+
+    monkeypatch.setattr(LinearProgram, "__post_init__", recording_post_init)
+    monkeypatch.setattr(models, "solve_lp", recording_solve)
+    run_full_analysis(data)
+    assert len(solved) == 3 * data.n
+    assert [id(problem) for problem in built] == [id(problem) for problem in solved]
+
+
 def stacked_lp_builder(system, k, chain, scored, epsilon, pinned_overall=None):
     """_LpSystem.lp as it was before the per-chain blocks: the equality rows
     and every link's ratio rows stacked over all of [u | w | v] for each
@@ -639,7 +661,8 @@ def stacked_lp_builder(system, k, chain, scored, epsilon, pinned_overall=None):
 
 
 def stacked_envelopment_builder(lp):
-    """_envelopment_lp as it was with np.r_."""
+    """The LP dual of a multiplier LP, transposed from the built LP as
+    models did before _LpSystem.envelopment_lp (with np.r_)."""
     A = lp.constraint_matrix
     eqs = lp.constraint_senses.count(EQUAL)
     b = lp.rhs - A @ lp.variable_lower_bounds
@@ -650,27 +673,35 @@ def stacked_envelopment_builder(lp):
 class TestStackedBuilderReference:
     """Every chain, every ordered pair of its slots as (normalization,
     objective), pinned where the chain holds u and v and unpinned, for
-    every DMU: _LpSystem.lp and _envelopment_lp against the builders that
-    stacked each LP's rows afresh."""
+    every DMU and at two epsilons: _LpSystem.lp against the builder that
+    stacked each LP's rows afresh, and for each unpinned LP
+    _LpSystem.envelopment_lp against the dual that
+    stacked_envelopment_builder transposes from it. The second epsilon
+    catches a term that a builder keeps per chain but epsilon changes."""
 
     @staticmethod
     def _check(data):
         system = data._lp_system
         pins = np.random.default_rng(data.n).uniform(0.05, 1.0, data.n)
-        built = 0
-        for chain in ("uv", "uw", "wv", "uwv"):
-            pinned = (None, "pinned") if {"u", "v"} <= set(chain) else (None,)
-            for scored in itertools.permutations(chain, 2):
-                for pin in pinned:
-                    for k in range(data.n):
-                        overall = None if pin is None else float(pins[k])
-                        lp = system.lp(k, chain, scored, 1e-6, overall)
-                        _assert_same_lp(lp, stacked_lp_builder(system, k, chain, scored,
-                                                               1e-6, overall))
-                        _assert_same_lp(models._envelopment_lp(lp),
-                                        stacked_envelopment_builder(lp))
-                        built += 1
-        assert built == data.n * (2 * 2 + 2 + 2 + 6 * 2)
+        built = duals = 0
+        for epsilon in (1e-6, 1e-4):
+            for chain in ("uv", "uw", "wv", "uwv"):
+                pinned = (None, "pinned") if {"u", "v"} <= set(chain) else (None,)
+                for scored in itertools.permutations(chain, 2):
+                    for pin in pinned:
+                        for k in range(data.n):
+                            overall = None if pin is None else float(pins[k])
+                            lp = system.lp(k, chain, scored, epsilon, overall)
+                            stacked = stacked_lp_builder(system, k, chain, scored, epsilon,
+                                                         overall)
+                            _assert_same_lp(lp, stacked)
+                            built += 1
+                            if pin is None:
+                                dual = system.envelopment_lp(k, chain, scored, epsilon)
+                                _assert_same_lp(dual, stacked_envelopment_builder(lp))
+                                duals += 1
+        assert built == 2 * data.n * (2 * 2 + 2 + 2 + 6 * 2)
+        assert duals == 2 * data.n * (2 + 2 + 2 + 6)
 
     def test_bundled_data(self, table1):
         self._check(table1)

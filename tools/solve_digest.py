@@ -116,6 +116,39 @@ def library_inputs(nd):
         yield "batch-small", f"batch-small set {i}", case.csv_text
 
 
+def digest_library(nd, out: Digest, inputs):
+    """Digest, for each (group, name, csv text) of inputs, run_full_analysis
+    under both priorities, every LP it solves and its rendered reports."""
+    solve_lp = nd.models.solve_lp
+
+    def recording_solve(problem):
+        sol = solve_lp(problem)
+        out.solve(sol)
+        return sol
+
+    nd.models.solve_lp = recording_solve
+    try:
+        for group, name, text in inputs:
+            out.start(group)
+            data = nd.parse_dataset(text)
+            for priority in nd.StagePriority:
+                cfg = nd.SolverConfig(stage_priority=priority)
+                try:
+                    relational, ccr = nd.run_full_analysis(data, cfg)
+                except nd.NetdeaError as exc:
+                    out.failures += 1
+                    cause = exc.__cause__
+                    out.text(f"{exc.dmu_id}: {type(cause).__name__}: {cause}")
+                    print(f"{name} {priority.value}: {type(exc).__name__}: {exc}",
+                          file=sys.stderr)
+                    continue
+                report = nd.build_report(relational, ccr, cfg)
+                for fmt in ("table", "csv", "json"):
+                    out.text(nd.render_report(report, fmt))
+    finally:
+        nd.models.solve_lp = solve_lp
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT,
@@ -138,31 +171,7 @@ def main(argv=None) -> int:
     print("random LPs: " + ", ".join(f"{count} {status}"
                                      for status, count in sorted(statuses.items())))
 
-    solve_lp = nd.models.solve_lp
-
-    def recording_solve(problem):
-        sol = solve_lp(problem)
-        out.solve(sol)
-        return sol
-
-    nd.models.solve_lp = recording_solve
-    for group, name, text in library_inputs(nd):
-        out.start(group)
-        data = nd.parse_dataset(text)
-        for priority in nd.StagePriority:
-            cfg = nd.SolverConfig(stage_priority=priority)
-            try:
-                relational, ccr = nd.run_full_analysis(data, cfg)
-            except nd.NetdeaError as exc:
-                out.failures += 1
-                cause = exc.__cause__
-                out.text(f"{exc.dmu_id}: {type(cause).__name__}: {cause}")
-                print(f"{name} {priority.value}: {type(exc).__name__}: {exc}",
-                      file=sys.stderr)
-                continue
-            report = nd.build_report(relational, ccr, cfg)
-            for fmt in ("table", "csv", "json"):
-                out.text(nd.render_report(report, fmt))
+    digest_library(nd, out, library_inputs(nd))
     for group, tally in out.groups.items():
         print(f"{group}: {tally.line()}")
     print(f"total: {out.total.line()}, failed runs {out.failures}")

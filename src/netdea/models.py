@@ -387,10 +387,10 @@ def _solve(data: Dataset, k: int, cfg: SolverConfig, model: str, chain: str,
 
     Returns (dmu_id, clamped optimum, weights by slot). An unpinned LP of
     a dataset with at least ENVELOPMENT_MIN_DMUS DMUs is solved as the
-    dual _LpSystem.envelopment_lp builds. An infeasible LP is a ConfigurationError (epsilon
-    too large) unless the overall score is pinned: that LP holds an
-    optimum just reached at the same epsilon, so it can only fail
-    numerically, like any other non-optimal status.
+    dual _LpSystem.envelopment_lp builds. An infeasible LP is a
+    ConfigurationError (epsilon too large) unless the overall score is
+    pinned: that LP holds an optimum just reached at the same epsilon, so
+    it can only fail numerically, like any other non-optimal status.
     """
     k = operator.index(k)
     if not 0 <= k < data.n:

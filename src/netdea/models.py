@@ -24,16 +24,16 @@ once per dataset, on its first solve, not once per LP. The relational LPs
 hold up to 2n ratio rows: the stage rows imply the n whole-process rows.
 From ENVELOPMENT_MIN_DMUS DMUs up, each family of ratio rows keeps only
 the rows no kept row implies, which leaves every LP's feasible set as it
-is: the pinned relational LP of the benchmark's dispersed 100-DMU 3/2/2
-set holds 30 rows, not 202.
+is: the relational LPs of the benchmark's dispersed 100-DMU 3/2/2 set
+keep 28 of their 200 stage rows.
 
 Each model is stated in multiplier form. From ENVELOPMENT_MIN_DMUS DMUs
-up, the LPs without a pinned score (CCR, the independent stages and the
-relational overall score) are solved as their LP duals, the envelopment
-form, with a row per weight instead of one per ratio constraint, each
-built straight from blocks kept once per dataset. The weights are read
-back from the dual's row prices, which solve_lp certifies. The pinned
-stage-priority LP is always solved in multiplier form.
+up, every LP, the pinned stage-priority LP included, is solved as its LP
+dual, the envelopment form, with a row per weight instead of one per
+ratio constraint, each built straight from blocks kept once per dataset.
+The weights are read back from the dual's row prices, which solve_lp
+certifies. A dual that ends without a proved optimum is solved again in
+multiplier form, whose status decides.
 """
 
 from __future__ import annotations
@@ -71,16 +71,18 @@ PRODUCT_IDENTITY_TOL = 1e-6
 #: result is then clamped, and a larger excess is rejected.
 SCORE_EXCESS_TOL = 1e-9
 
-#: From this many DMUs up, the implied ratio rows are dropped and the
-#: unpinned LPs are solved in envelopment form. For the envelopment form,
-#: the crossover lies lower on dispersed 3/1/1 sets: the relational and CCR
+#: From this many DMUs up, the implied ratio rows are dropped and every LP
+#: is solved in envelopment form first. For the envelopment form, the
+#: crossover lies lower on dispersed 3/1/1 sets: the relational and CCR
 #: LPs took 0.74x the multiplier form's time at n = 30, 0.70x at n = 40 and
 #: 0.80x at n = 50, but 1.15x at n = 20 and 1.7x on the bundled 13-DMU set
-#: (179 pivots against 89). Below 40, though, the duals of 4 DMUs of the
-#: batch-small benchmark sets (seeds 1-3, n = 28 to 37) failed where the
-#: multiplier LPs solve. Dropping rows changes the pivots, and with them the
-#: last bits of some scores; the bundled set would drop 12 of its 13 CCR
-#: rows, and the benchmark compares its netdea compare output byte for byte.
+#: (179 pivots against 89). Under SECOND_STAGE, the pinned LPs of the
+#: benchmark's sparse and dense 100-DMU sets take 15.6 and 7.6 pivots each
+#: as duals, 36.2 and 6.1 in multiplier form. Below 40, the duals of 4
+#: batch-small DMUs (seeds 1-3, n = 28 to 37) failed where the multiplier
+#: LPs solve. Dropping rows changes the pivots, and with them the last bits
+#: of some scores; the bundled set would drop 12 of its 13 CCR rows, and
+#: the benchmark compares its netdea compare output byte for byte.
 ENVELOPMENT_MIN_DMUS = 40
 
 
@@ -304,6 +306,16 @@ class _LpSystem:
                     *self.blocks.values()):
             arr.setflags(write=False)
 
+    def _equalities(self, k: int, chain: str, normalization: str,
+                    pinned_overall: float | None, out: np.ndarray) -> None:
+        """Write DMU k's equality rows into out's zeroed rows: the weighted
+        sum in slot normalization and, if pinned, y_k.v - pinned * x_k.u."""
+        norm, cols = self.normalized, self.chain_columns[chain]
+        out[0, cols[normalization]] = norm[normalization][k]
+        if pinned_overall is not None:
+            out[1, cols["u"]] = -pinned_overall * norm["u"][k]
+            out[1, cols["v"]] = norm["v"][k]
+
     def lp(self, k: int, chain: str, scored: str, epsilon: float,
            pinned_overall: float | None = None) -> LinearProgram:
         """DMU k's LP over the weights t of the chain's slots, in [u | w | v]
@@ -312,18 +324,14 @@ class _LpSystem:
         x_k.u when pinned, the ratio rows of the chain's links in chain
         order <= 0, and t >= epsilon.
         """
-        norm, cols = self.normalized, self.chain_columns[chain]
         normalization, objective = scored
         block = self.blocks[chain]
         eqs = 1 if pinned_overall is None else 2
         matrix = np.zeros((eqs + len(block), block.shape[1]))
         matrix[eqs:] = block
-        matrix[0, cols[normalization]] = norm[normalization][k]
-        if pinned_overall is not None:
-            matrix[1, cols["u"]] = -pinned_overall * norm["u"][k]
-            matrix[1, cols["v"]] = norm["v"][k]
+        self._equalities(k, chain, normalization, pinned_overall, matrix)
         costs = np.zeros(block.shape[1])
-        costs[cols[objective]] = norm[objective][k]
+        costs[self.chain_columns[chain][objective]] = self.normalized[objective][k]
         rhs = np.zeros(len(matrix))
         rhs[0] = 1.0
         return LinearProgram(
@@ -334,47 +342,47 @@ class _LpSystem:
             variable_lower_bounds=np.full(block.shape[1], epsilon),
         )
 
-    def envelopment_lp(self, k: int, chain: str, scored: str,
-                       epsilon: float) -> LinearProgram:
-        """The LP dual of lp(k, chain, scored, epsilon), max c't s.t. E t = 1,
-        R t <= 0, t >= eps, over s = t - eps >= 0: variables [y+ | y- | lambda]
-        >= 0, a row -(E'y + R'lambda) <= -c per weight, and the objective
+    def envelopment_lp(self, k: int, chain: str, scored: str, epsilon: float,
+                       pinned_overall: float | None = None) -> LinearProgram:
+        """The LP dual of lp(k, chain, scored, epsilon, pinned_overall), max
+        c't s.t. E t = e, R t <= 0, t >= eps, over s = t - eps >= 0:
+        variables [y+ | y- | lambda] >= 0, one y per equality row, a row
+        -(E'y + R'lambda) <= -c per weight, and the objective
         max -(b_E'y + b_R'lambda) with y = y+ - y- and b = rhs - [E; R] eps.
         Its matrix is the transpose of the rows [-E; E; -R]; the product of
         the last ones with eps rounds as [E; R]'s would, R's negated."""
-        cols, block = self.chain_columns[chain], self.blocks[chain]
+        block = self.blocks[chain]
         normalization, objective = scored
         width = block.shape[1]
-        rows = np.zeros((2 + len(block), width))
-        rows[1, cols[normalization]] = self.normalized[normalization][k]
-        np.negative(rows[1], out=rows[0])
-        np.negative(block, out=rows[2:])
-        products = rows[1:] @ np.full(width, epsilon)
+        eqs = 1 if pinned_overall is None else 2
+        rows = np.zeros((2 * eqs + len(block), width))
+        self._equalities(k, chain, normalization, pinned_overall, rows[eqs:])
+        np.negative(rows[eqs:2 * eqs], out=rows[:eqs])
+        np.negative(block, out=rows[2 * eqs:])
+        products = rows[eqs:] @ np.full(width, epsilon)
         costs = np.zeros(width)
-        costs[cols[objective]] = self.normalized[objective][k]
-        bound = 1.0 - products[0]
-        return LinearProgram(np.concatenate(((-bound, bound), -products[1:])), rows.T,
+        costs[self.chain_columns[chain][objective]] = self.normalized[objective][k]
+        bound = np.array((1.0, 0.0)[:eqs]) - products[:eqs]
+        return LinearProgram(np.concatenate((-bound, bound, -products[eqs:])), rows.T,
                              (LESS_EQUAL,) * width, -costs, np.zeros(len(rows)))
 
 
-def _solve_envelopment(dual: LinearProgram, epsilon: float) -> LpSolution:
+def _solve_envelopment(dual: LinearProgram, epsilon: float) -> LpSolution | None:
     """Solve the dual from _LpSystem.envelopment_lp, with the result in the
     multiplier LP's terms: the weights are t = epsilon + the row prices,
-    the score is c't with c = -dual.rhs and row_prices stays empty. An
-    unbounded dual means an infeasible multiplier LP, any other non-optimal
-    status a NUMERICAL_FAILURE. solve_lp's certificate of the dual checks t
-    against the multiplier LP row for row: the price signs are t >= eps,
-    the reduced costs E t = 1 and R t <= 0, the gap c't against the bound.
+    the score is c't with c = -dual.rhs and row_prices stays empty; None
+    unless the dual ends OPTIMAL, the one status solve_lp proves. solve_lp's
+    certificate of the dual checks t against the multiplier LP row for row:
+    the price signs are t >= eps, the reduced costs E t = e and R t <= 0,
+    the gap c't against the bound.
 
     The score is c't, not the dual's bound, because a stage-priority LP
     pins it: a bound a rounding error above the optimum can make that LP
     infeasible, as it did for one DMU of a 100-DMU dispersed 3/1/1 set.
     """
     sol = solve_lp(dual)
-    if sol.status is SolveStatus.UNBOUNDED:
-        return LpSolution(SolveStatus.INFEASIBLE, iterations=sol.iterations)
     if sol.status is not SolveStatus.OPTIMAL:
-        return LpSolution(SolveStatus.NUMERICAL_FAILURE, iterations=sol.iterations)
+        return None
     t = epsilon + sol.row_prices
     return LpSolution(SolveStatus.OPTIMAL, objective_value=float(-dual.rhs @ t),
                       variable_values=_as_readonly(t), iterations=sol.iterations)
@@ -385,9 +393,10 @@ def _solve(data: Dataset, k: int, cfg: SolverConfig, model: str, chain: str,
     """Solve DMU k's LP that _LpSystem.lp builds from these arguments; scored
     defaults to the chain's ends.
 
-    Returns (dmu_id, clamped optimum, weights by slot). An unpinned LP of
-    a dataset with at least ENVELOPMENT_MIN_DMUS DMUs is solved as the
-    dual _LpSystem.envelopment_lp builds. An infeasible LP is a
+    Returns (dmu_id, clamped optimum, weights by slot). From
+    ENVELOPMENT_MIN_DMUS DMUs up, the dual _LpSystem.envelopment_lp builds
+    is solved first, and the LP itself only if that dual is not proved
+    OPTIMAL. Then the LP's status decides: an infeasible LP is a
     ConfigurationError (epsilon too large) unless the overall score is
     pinned: that LP holds an optimum just reached at the same epsilon, so
     it can only fail numerically, like any other non-optimal status.
@@ -398,10 +407,11 @@ def _solve(data: Dataset, k: int, cfg: SolverConfig, model: str, chain: str,
     dmu = data.dmu_ids[k]
     context = f"{model} model for DMU {dmu}"
     system, scored = data._lp_system, scored or chain[0] + chain[-1]
-    if pinned_overall is None and data.n >= ENVELOPMENT_MIN_DMUS:
-        sol = _solve_envelopment(system.envelopment_lp(k, chain, scored, cfg.epsilon),
-                                 cfg.epsilon)
-    else:
+    sol = None
+    if data.n >= ENVELOPMENT_MIN_DMUS:
+        sol = _solve_envelopment(
+            system.envelopment_lp(k, chain, scored, cfg.epsilon, pinned_overall), cfg.epsilon)
+    if sol is None:
         sol = solve_lp(system.lp(k, chain, scored, cfg.epsilon, pinned_overall))
     if sol.status is SolveStatus.INFEASIBLE and pinned_overall is None:
         raise ConfigurationError(

@@ -37,4 +37,4 @@ def test_small_sets_get_more_processes():
     spec = importlib.util.spec_from_file_location("bench_scaling", SCRIPT)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    assert [bench.processes(n) for n in (13, 99, 100, 999, 1000)] == [9, 9, 3, 3, 1]
+    assert [bench.processes(n) for n in (13, 99, 100, 999, 1000, 3000)] == [9, 9, 3, 3, 3, 1]

@@ -569,8 +569,8 @@ class TestFullAnalysisLpReference:
     """Every LP run_full_analysis builds, under both priorities, against the
     builders the one LP builder replaces: the relational and pinned LPs are
     theirs without the whole-process rows. From ENVELOPMENT_MIN_DMUS DMUs
-    up, every LP keeps only the ratio rows no kept row implies, and the
-    relational and CCR LPs are solved as their transposed duals."""
+    up, every LP keeps only the ratio rows no kept row implies, and every
+    LP, the pinned one included, is solved as its transposed dual."""
 
     def _check(self, monkeypatch, data):
         X, Z, Y = reference_normalized_matrices(data)
@@ -596,7 +596,7 @@ class TestFullAnalysisLpReference:
                     overall, pinned = (without_implied_rows(lp, data.n, [uw, wv])
                                        for lp in (overall, pinned))
                     ccr = without_implied_rows(ccr, data.n, [uv])
-                    overall, ccr = reference_envelopment_lp(overall), reference_envelopment_lp(ccr)
+                    overall, pinned, ccr = map(reference_envelopment_lp, (overall, pinned, ccr))
                 want += [overall, pinned, ccr]
             assert len(built) == len(want)
             for lp, reference in zip(built, want):
@@ -611,7 +611,8 @@ class TestFullAnalysisLpReference:
         self._check(monkeypatch, table1)
 
     # From 40 DMUs up the LPs keep only the undominated rows and are solved
-    # in envelopment form; 47 and 70 add other shapes and sizes.
+    # in envelopment form, and no dual of these sets fails, so none is
+    # solved again in multiplier form; 47 and 70 add other shapes and sizes.
     @pytest.mark.parametrize("n,shape", [(40, (3, 2, 2)), (47, (1, 3, 2)), (70, (2, 2, 3))])
     def test_envelopment_form(self, monkeypatch, make_random_dataset, n, shape):
         self._check(monkeypatch, make_random_dataset(np.random.default_rng(n), n, *shape))
@@ -661,8 +662,9 @@ def stacked_lp_builder(system, k, chain, scored, epsilon, pinned_overall=None):
 
 
 def stacked_envelopment_builder(lp):
-    """The LP dual of a multiplier LP, transposed from the built LP as
-    models did before _LpSystem.envelopment_lp (with np.r_)."""
+    """The LP dual of a multiplier LP with one or two equality rows,
+    transposed from the built LP as models did before
+    _LpSystem.envelopment_lp (with np.r_)."""
     A = lp.constraint_matrix
     eqs = lp.constraint_senses.count(EQUAL)
     b = lp.rhs - A @ lp.variable_lower_bounds
@@ -674,8 +676,8 @@ class TestStackedBuilderReference:
     """Every chain, every ordered pair of its slots as (normalization,
     objective), pinned where the chain holds u and v and unpinned, for
     every DMU and at two epsilons: _LpSystem.lp against the builder that
-    stacked each LP's rows afresh, and for each unpinned LP
-    _LpSystem.envelopment_lp against the dual that
+    stacked each LP's rows afresh, and for each of these LPs, pinned or
+    not, _LpSystem.envelopment_lp against the dual that
     stacked_envelopment_builder transposes from it. The second epsilon
     catches a term that a builder keeps per chain but epsilon changes."""
 
@@ -683,7 +685,7 @@ class TestStackedBuilderReference:
     def _check(data):
         system = data._lp_system
         pins = np.random.default_rng(data.n).uniform(0.05, 1.0, data.n)
-        built = duals = 0
+        built = 0
         for epsilon in (1e-6, 1e-4):
             for chain in ("uv", "uw", "wv", "uwv"):
                 pinned = (None, "pinned") if {"u", "v"} <= set(chain) else (None,)
@@ -695,13 +697,10 @@ class TestStackedBuilderReference:
                             stacked = stacked_lp_builder(system, k, chain, scored, epsilon,
                                                          overall)
                             _assert_same_lp(lp, stacked)
+                            dual = system.envelopment_lp(k, chain, scored, epsilon, overall)
+                            _assert_same_lp(dual, stacked_envelopment_builder(lp))
                             built += 1
-                            if pin is None:
-                                dual = system.envelopment_lp(k, chain, scored, epsilon)
-                                _assert_same_lp(dual, stacked_envelopment_builder(lp))
-                                duals += 1
         assert built == 2 * data.n * (2 * 2 + 2 + 2 + 6 * 2)
-        assert duals == 2 * data.n * (2 + 2 + 2 + 6)
 
     def test_bundled_data(self, table1):
         self._check(table1)
@@ -732,11 +731,34 @@ def _perfbench_generate():
     return module
 
 
+@pytest.fixture(scope="module")
+def dispersed_10000():
+    """perfbench's dispersed 3/1/1 set of 10,000 DMUs at default_rng(0)."""
+    X, Z, Y = _perfbench_generate().dispersed(np.random.default_rng(0), 10_000, 3, 1, 1)
+    ids = tuple(f"D{j + 1}" for j in range(len(X)))
+    return Dataset(ids, ids, X, Z, Y)
+
+
+def assert_split_matches_highs(data, k, priority):
+    """DMU k's overall score and the stage score its priority fixes, within
+    1e-9 of HiGHS on the LPs with all 2n stage rows."""
+    optimize = pytest.importorskip("scipy.optimize")
+    record = solve_stage_priority(data, k, SolverConfig(stage_priority=priority))
+    fixed = record.stage1 if priority is StagePriority.FIRST_STAGE else record.stage2
+    X, Z, Y = reference_normalized_matrices(data)
+    for pinned, stage, score in ((None, None, record.overall),
+                                 (record.overall, priority, fixed)):
+        reference = without_whole_process_rows(
+            reference_relational_lp(X, Z, Y, k, 1e-6, pinned, stage), data.n)
+        assert abs(score - highs_optimum(optimize, reference)) <= 1e-9
+    return record
+
+
 class TestEnvelopmentForm:
     """From ENVELOPMENT_MIN_DMUS DMUs up, every LP keeps only the ratio rows
-    no kept row implies, and the CCR, stage-independent and relational
-    overall LPs are solved in envelopment form; the pinned stage-priority
-    LP is not."""
+    no kept row implies and is solved in envelopment form, the pinned
+    stage-priority LP included. A dual that ends without a proved optimum
+    is solved again in multiplier form, whose status decides."""
 
     @staticmethod
     def _record(monkeypatch):
@@ -775,29 +797,40 @@ class TestEnvelopmentForm:
                 assert lp.num_constraints == weights
                 assert lp.constraint_senses == (LESS_EQUAL,) * weights
                 assert lp.num_variables == 2 + rows
-        assert pinned.num_variables == 7
-        assert pinned.constraint_senses.count(EQUAL) == 2
-        assert pinned.num_constraints == 2 + stage_rows
+        if n < 40:
+            assert pinned.num_variables == 7
+            assert pinned.constraint_senses.count(EQUAL) == 2
+            assert pinned.num_constraints == 2 + stage_rows
+        else:  # y+ and y- of both equality rows, and one lambda per stage row
+            assert pinned.num_constraints == 7
+            assert pinned.constraint_senses == (LESS_EQUAL,) * 7
+            assert pinned.num_variables == 4 + stage_rows
 
     def test_oversized_epsilon_is_a_configuration_error(self, monkeypatch,
                                                         make_random_dataset):
-        # The multiplier LP is infeasible, so its envelopment dual is unbounded.
+        # The multiplier LP is infeasible, so its envelopment dual is
+        # unbounded. That proves nothing, so the multiplier LP is solved
+        # too, and its proved infeasibility is the error.
         data = make_random_dataset(np.random.default_rng(41), 41, 3, 2, 2)
         cfg = SolverConfig(epsilon=0.5)
         solved = self._record(monkeypatch)
         for solve in (solve_ccr, solve_relational_overall):
+            solved.clear()
             with pytest.raises(ConfigurationError) as excinfo:
                 solve(data, 0, cfg)
             assert str(excinfo.value).endswith("for the normalized data")
-            problem, solution = solved[-1]
-            assert problem.constraint_senses.count(EQUAL) == 0
-            assert solution.status is SolveStatus.UNBOUNDED
+            (dual, dual_solution), (problem, solution) = solved
+            assert dual.constraint_senses.count(EQUAL) == 0
+            assert dual_solution.status is SolveStatus.UNBOUNDED
+            assert problem.constraint_senses.count(EQUAL) == 1
+            assert solution.status is SolveStatus.INFEASIBLE
 
     @pytest.mark.parametrize("skewed", ["row prices"])
     def test_uncertified_result_is_a_solver_failure(self, monkeypatch,
                                                     make_random_dataset, skewed):
         # Weights off the multiplier LP fail the dual's certificate in
-        # solve_lp; nothing falls back to the other form.
+        # solve_lp, and the multiplier LP solved again fails its own: no
+        # uncertified result is returned in either form.
         data = make_random_dataset(np.random.default_rng(42), 42, 3, 2, 2)
         row_prices = lp_core._row_prices
         monkeypatch.setattr(lp_core, "_row_prices", lambda *final: row_prices(*final) + 1e-6)
@@ -837,7 +870,8 @@ class TestEnvelopmentForm:
                                          (solve_relational_overall(data, k), relational)):
                     assert abs(score - highs_optimum(optimize, reference)) <= 1e-9
 
-    def test_feasible_phase_one_ray_goes_on_to_phase_two(self, monkeypatch):
+    def test_feasible_phase_one_ray_goes_on_to_phase_two(self, monkeypatch,
+                                                          dispersed_10000):
         # The relational overall duals of these three DMUs of a 10,000-DMU
         # set end phase 1 "unbounded" at a phase-1 objective within
         # FEASIBILITY_TOL: a ray of rounding residue in a bounded phase 1,
@@ -846,9 +880,7 @@ class TestEnvelopmentForm:
         # decides. Scores and stage splits against HiGHS on the LPs with
         # all 2n stage rows.
         optimize = pytest.importorskip("scipy.optimize")
-        X, Z, Y = _perfbench_generate().dispersed(np.random.default_rng(0), 10_000, 3, 1, 1)
-        ids = tuple(f"D{j + 1}" for j in range(len(X)))
-        data = Dataset(ids, ids, X, Z, Y)
+        data, ids = dispersed_10000, dispersed_10000.dmu_ids
         X, Z, Y = reference_normalized_matrices(data)
         iterate, outcomes = lp_core._iterate, []
 
@@ -872,6 +904,51 @@ class TestEnvelopmentForm:
                 reference = without_whole_process_rows(
                     reference_relational_lp(X, Z, Y, k, 1e-6, pinned, stage), data.n)
                 assert abs(score - highs_optimum(optimize, reference)) <= 1e-9
+
+    def test_pinned_duals_of_a_10000_dmu_set(self, dispersed_10000):
+        # The SECOND_STAGE pinned LPs of these two DMUs ended in
+        # numerical_failure in multiplier form: a point that violated a row
+        # by 4.0e-9. Their duals solve.
+        for dmu in ("D8931", "D8951"):
+            assert_split_matches_highs(dispersed_10000, dispersed_10000.dmu_ids.index(dmu),
+                                       StagePriority.SECOND_STAGE)
+
+    @pytest.mark.parametrize("priority", list(StagePriority))
+    def test_unbounded_dual_is_solved_again(self, monkeypatch, priority):
+        # D50's relational dual on this wide set ends "unbounded" after 196
+        # pivots, without a proof, while its multiplier LP is optimal. It
+        # was read as an infeasible multiplier LP: "epsilon=1e-06 is too
+        # large".
+        X, Z, Y = _perfbench_generate().dispersed(np.random.default_rng(0), 400, 5, 3, 3)
+        ids = tuple(f"D{j + 1}" for j in range(len(X)))
+        solved = self._record(monkeypatch)
+        record = assert_split_matches_highs(Dataset(ids, ids, X, Z, Y), 49, priority)
+        assert record.overall == pytest.approx(0.0747491441, abs=1e-10)
+        (dual, dual_solution), (problem, solution), _ = solved
+        assert dual_solution.status is SolveStatus.UNBOUNDED
+        assert problem.constraint_senses.count(EQUAL) == 1
+        assert solution.status is SolveStatus.OPTIMAL
+
+    def test_failed_dual_gets_the_multiplier_score(self, monkeypatch, make_random_dataset):
+        # Every dual fails here, so each of the three LPs is solved twice,
+        # and the records hold the multiplier LPs' scores.
+        data = make_random_dataset(np.random.default_rng(43), 43, 3, 2, 2)
+        calls = []
+
+        def failing_duals(problem):
+            calls.append(problem)
+            if problem.constraint_senses.count(EQUAL) == 0:
+                return LpSolution(SolveStatus.NUMERICAL_FAILURE, iterations=3)
+            return solve_lp(problem)
+
+        monkeypatch.setattr(models, "solve_lp", failing_duals)
+        record, ccr = solve_stage_priority(data, 5), solve_ccr(data, 5)
+        assert [problem.constraint_senses.count(EQUAL) for problem in calls] == [0, 1, 0, 2, 0, 1]
+        system = data._lp_system
+        overall = solve_lp(system.lp(5, "uwv", "uv", 1e-6)).objective_value
+        stage2 = solve_lp(system.lp(5, "uwv", "wv", 1e-6, overall)).objective_value
+        assert (record.overall, record.stage2) == (overall, stage2)
+        assert ccr.overall == solve_lp(system.lp(5, "uv", "uv", 1e-6)).objective_value
 
 
 class TestImpliedRows:
@@ -944,23 +1021,13 @@ class TestImpliedRows:
     ])
     def test_stage_priority_matches_highs(self, case):
         # The pinned LP of the first two DMUs ended in numerical_failure
-        # with every ratio row. The third's pinned LP stays in multiplier
-        # form: solved as its envelopment dual, phase 1 ended "unbounded".
-        # Both scores against HiGHS on the LPs with all 2n stage rows.
-        optimize = pytest.importorskip("scipy.optimize")
+        # with every ratio row. The third's pinned dual ends in
+        # numerical_failure and is solved again in multiplier form. Both
+        # scores against HiGHS on the LPs with all 2n stage rows.
         generator, seed, shape, priority, k = case
         X, Z, Y = getattr(_perfbench_generate(), generator)(np.random.default_rng(seed), *shape)
         ids = tuple(f"D{j + 1}" for j in range(len(X)))
-        record = solve_stage_priority(Dataset(ids, ids, X, Z, Y), k,
-                                      SolverConfig(stage_priority=priority))
-        first = priority is StagePriority.FIRST_STAGE
-        X, Z, Y = reference_normalized_matrices(Dataset(ids, ids, X, Z, Y))
-        for pinned, stage, score in ((None, None, record.overall),
-                                     (record.overall, priority,
-                                      record.stage1 if first else record.stage2)):
-            reference = without_whole_process_rows(
-                reference_relational_lp(X, Z, Y, k, 1e-6, pinned, stage), len(X))
-            assert abs(score - highs_optimum(optimize, reference)) <= 1e-9
+        assert_split_matches_highs(Dataset(ids, ids, X, Z, Y), k, priority)
 
 
 def test_lp_system_built_once_and_read_only():

@@ -1,7 +1,9 @@
 """The n = 100 groups of tools/solve_digest.py, pinned: every other golden
 is the 13-DMU bundled set, which is solved in multiplier form with all its
 ratio rows, so only these catch a last-bit change from n = 40 up, where
-the rows are filtered and the unpinned LPs are solved in envelopment form."""
+the rows are filtered and every LP is solved in envelopment form. 600
+solves are 3 per DMU under each priority: no dual is solved again in
+multiplier form."""
 
 import importlib.util
 from pathlib import Path
@@ -11,10 +13,10 @@ import netdea as nd
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "solve_digest.py"
 
 PINNED = {
-    "sparse-n100": "solves 600, pivots 13500, "
-                   "f9e01ec16f5924cdca5fe03fed999689d2aa539b8c753f14c1539024d8749cfb",
-    "dense-n100": "solves 600, pivots 4594, "
-                  "94572f91bbc594390de0bae1cc724e28cbf3793e14306373dec527c077de2379",
+    "sparse-n100": "solves 600, pivots 9787, "
+                   "5d388bfb05ce1b6f13a4f7abf7388e8e1d09983087e9a2cb0b8640eec742350e",
+    "dense-n100": "solves 600, pivots 4891, "
+                  "145e23a63d18bad6055e803a235be503a0938ae00bd7dcf94c45fe276551e644",
 }
 
 

@@ -12,24 +12,28 @@ The inputs always come from this script's own checkout, and
 * ``generate.dispersed(np.random.default_rng(0), n, 3, 1, 1)`` for
   n = 20, 30, 40, 50, 100, 200, 400, 1000, 3000 and 10,000; the first three
   bracket the size from which models.py reduces the ratio rows and solves
-  the unpinned LPs in envelopment form;
+  the LPs in envelopment form;
 * ``generate.half_on_frontier(np.random.default_rng(0), n)`` for n = 100,
-  400 and 1000: dense sets, which keep about half their ratio rows.
+  400 and 1000: dense sets, which keep about half their ratio rows;
+* ``generate.dispersed(np.random.default_rng(0), n, 5, 3, 3)`` for n = 100,
+  200 and 400: wide sets, with five inputs and three intermediates and
+  outputs, whose filtered links keep many more rows.
 
 Each set is timed in fresh processes per checkout: nine below n = 100,
-three from there and one from n = 1000 up. The checkouts take turns
+three from there and one from n = 3000 up. The checkouts take turns
 process by process, and the side that goes first alternates from one turn
 to the next, so host drift over the run lands on every side alike. In each
 process the set is parsed afresh and solved by ``run_full_analysis`` under
-the default config three times (once from n = 1000 up), and the best time
-is that process's. A process carries its own speed, which on the small
-sets moves its best by more than a real change would, so a set's time is
-the median of its processes' bests; every process's times are stored too,
-with its peak resident set size (``ru_maxrss``). A run that raises a
-netdea error is recorded with the error instead. Every LP's pivots are
-summed by kind (relational, stage-priority, CCR) and form (multiplier or
-envelopment); these counts repeat exactly and do not drift with the host.
-One ``netdea compare`` process on the bundled set is timed three times
+the default config three times (once from n = 3000 up), and the best time
+is that process's. A process carries its own speed, which moves its best
+by more than a real change would, so a set's time is the median of its
+processes' bests; every process's times are stored too, with its peak
+resident set size (``ru_maxrss``). A run that raises a netdea error is
+recorded with the error instead. Every LP's pivots are summed by kind
+(relational, stage-priority, CCR) and form (multiplier or envelopment),
+and the solves that took a second LP, a dual solved again in multiplier
+form, are counted; these counts repeat exactly and do not drift with the
+host. One ``netdea compare`` process on the bundled set is timed three times
 per checkout, the checkouts again taking turns. Time and pivot exponents
 in n are fitted per family from n = 200 to 400, 400 to 1000 and 1000 to
 10,000, wherever the family has both sizes.
@@ -63,11 +67,12 @@ FAMILIES = {
     "dispersed": (lambda rng, n: generate.dispersed(rng, n, 3, 1, 1),
                   (20, 30, 40, 50, 100, 200, 400, 1000, 3000, 10_000)),
     "half_on_frontier": (generate.half_on_frontier, (100, 400, 1000)),
+    "dispersed_wide": (lambda rng, n: generate.dispersed(rng, n, 5, 3, 3), (100, 200, 400)),
 }
 REPEATS = 3
-#: From this many DMUs up a set is timed once, in one process: without the
-#: row reduction of models._undominated one run takes minutes there.
-ONCE_FROM = 1000
+#: From this many DMUs up a set is timed once, in one process: one run
+#: takes several seconds there, while dispersed n = 1000 takes under one.
+ONCE_FROM = 3000
 #: Below this many DMUs a run takes tens of milliseconds, mostly fixed
 #: costs per LP, and a process's own speed moves its best the most.
 SMALL_BELOW = 100
@@ -94,29 +99,32 @@ def machine_info() -> dict:
 
 
 class PivotCounter:
-    """Wraps models.solve_lp and sums each LP's pivots by kind and form. A
-    multiplier LP has a variable per weight and one equality row, two for
-    the pinned stage-priority LP; its envelopment dual has a row per weight
-    and no equality row. The relational LP has a weight on every column of
-    X, Z and Y, while CCR has none on Z."""
+    """Wraps models._solve, which names the model of each solve
+    (relational, stage-priority or CCR), and models.solve_lp, and sums each
+    LP's pivots by model and form: a multiplier LP has one or two equality
+    rows, its envelopment dual none. Each LP past the first of one solve
+    is a re-solve."""
 
     def __init__(self, nd):
-        self.solve_lp = nd.models.solve_lp
-        self.weights = 0
-        self.counts = {}
+        self.solve, self.solve_lp = nd.models._solve, nd.models.solve_lp
+        self.model = None
+        self.reset()
+
+    def reset(self):
+        self.counts, self.solves, self.lps = {}, 0, 0
+
+    def solve_model(self, data, k, cfg, model, *args, **kwargs):
+        self.model = model
+        self.solves += 1
+        return self.solve(data, k, cfg, model, *args, **kwargs)
 
     def __call__(self, problem):
         sol = self.solve_lp(problem)
-        equalities = problem.constraint_senses.count("=")
-        if equalities == 2:
-            kind = "stage-priority multiplier"
-        else:
-            form, weights = (("multiplier", problem.num_variables) if equalities
-                             else ("envelopment", problem.num_constraints))
-            model = "relational" if weights == self.weights else "CCR"
-            kind = f"{model} {form}"
+        form = "multiplier" if "=" in problem.constraint_senses else "envelopment"
+        kind = f"{self.model} {form}"
         lps, pivots = self.counts.get(kind, (0, 0))
         self.counts[kind] = (lps + 1, pivots + sol.iterations)
+        self.lps += 1
         return sol
 
     def report(self) -> dict:
@@ -139,12 +147,13 @@ def time_set(src: Path, name: str) -> dict:
     if not Path(nd.__file__).resolve().is_relative_to(src):
         raise SystemExit(f"netdea was imported from {nd.__file__}, not from {src}")
     counter = nd.models.solve_lp = PivotCounter(nd)
+    nd.models._solve = counter.solve_model
     text = set_text(nd, name)
     times, error = [], None
     n = nd.parse_dataset(text).n
     for _ in range(1 if n >= ONCE_FROM else REPEATS):
         data = nd.parse_dataset(text)
-        counter.weights, counter.counts = data.m + data.p + data.s, {}
+        counter.reset()
         start = time.perf_counter()
         try:
             nd.run_full_analysis(data)
@@ -156,7 +165,8 @@ def time_set(src: Path, name: str) -> dict:
     # ru_maxrss is in KiB on Linux.
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     result = {"name": name, "n": n, "best_s": min(times), "times_s": times,
-              "peak_rss_mb": peak_rss_mb, "pivots": counter.report()}
+              "peak_rss_mb": peak_rss_mb, "pivots": counter.report(),
+              "resolves": counter.lps - counter.solves}
     if error:
         result["error"] = error
     return result
@@ -194,14 +204,15 @@ def exponents(sets: list) -> list:
 def merge_processes(runs: list) -> dict:
     """One set's record from its processes' time_set results: the median of
     their best times, the largest peak RSS, each process's times and peak
-    RSS, the first process's pivots and the first error, if any."""
+    RSS, the first process's pivots and re-solves and the first error, if
+    any."""
     errors = [run["error"] for run in runs if "error" in run]
     result = {"name": runs[0]["name"], "n": runs[0]["n"],
               "median_best_s": float(np.median([run["best_s"] for run in runs])),
               "peak_rss_mb": max(run["peak_rss_mb"] for run in runs),
               "processes": [{"best_s": run["best_s"], "times_s": run["times_s"],
                              "peak_rss_mb": run["peak_rss_mb"]} for run in runs],
-              "pivots": runs[0]["pivots"]}
+              "pivots": runs[0]["pivots"], "resolves": runs[0]["resolves"]}
     if errors:
         result["error"] = errors[0]
     return result
@@ -249,6 +260,7 @@ def main(argv=None) -> int:
             pivots = sum(k["pivots"] for k in result["pivots"].values())
             print(f"{label} {name}: median best {result['median_best_s']:.3f} s"
                   f" over {len(runs[label])} processes, pivots {pivots},"
+                  f" re-solves {result['resolves']},"
                   f" peak RSS {result['peak_rss_mb']:.0f} MB"
                   + (f", {result['error']}" if "error" in result else ""), flush=True)
     for i in range(REPEATS):

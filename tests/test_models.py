@@ -879,9 +879,7 @@ class TestEnvelopmentForm:
         # failures; phase 2 now goes on from there and the certificate
         # decides. Scores and stage splits against HiGHS on the LPs with
         # all 2n stage rows.
-        optimize = pytest.importorskip("scipy.optimize")
         data, ids = dispersed_10000, dispersed_10000.dmu_ids
-        X, Z, Y = reference_normalized_matrices(data)
         iterate, outcomes = lp_core._iterate, []
 
         def recording_iterate(T, basis, budget):
@@ -897,13 +895,8 @@ class TestEnvelopmentForm:
             phase1, phase2 = outcomes
             assert phase1[0] == "unbounded" and phase1[1] <= FEASIBILITY_TOL
             assert phase2[0] == "optimal"
-            record = solve_stage_priority(data, k)
+            record = assert_split_matches_highs(data, k, StagePriority.SECOND_STAGE)
             assert record.overall == overall
-            for pinned, stage, score in ((None, None, overall),
-                                         (overall, StagePriority.SECOND_STAGE, record.stage2)):
-                reference = without_whole_process_rows(
-                    reference_relational_lp(X, Z, Y, k, 1e-6, pinned, stage), data.n)
-                assert abs(score - highs_optimum(optimize, reference)) <= 1e-9
 
     def test_pinned_duals_of_a_10000_dmu_set(self, dispersed_10000):
         # The SECOND_STAGE pinned LPs of these two DMUs ended in

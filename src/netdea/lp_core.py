@@ -14,13 +14,16 @@ proved by solve_lp and carries the row prices that certify it.
 
 The tableau is built over t = x - lb >= 0, with the rows of negative
 shifted rhs negated. Its columns are the variables, a slack per <= row, a
-surplus per >= row (each group in row order) and the rhs. Every LP runs
-phase 1 (with no artificial, it ends after 0 pivots). A row without a
+surplus per >= row (each group in row order) and the rhs. A row without a
 slack starts with an artificial basic: the basis label art_start + i, never
-a column. Every basic column is an exact unit vector, since a pivot leaves
-its entering column exact (x / x is 1.0, x - x * 1.0 is +0.0), and a
-pivot updates each column from itself, the pivot row and the pivot column
-only. An artificial column would change no other byte, and no pivot would
+a column. Phase 1 runs from there (with no artificial, it ends after 0
+pivots), unless the LP's start, pivoted in with each artificial left swapped
+for its row's surplus, gives a basis with no artificial and no value below
+-FEASIBILITY_TOL: phase 2 then starts there.
+Every basic column is an exact unit vector, since a pivot leaves its
+entering column exact (x / x is 1.0, x - x * 1.0 is +0.0), and a pivot
+updates each column from itself, the pivot row and the pivot column only.
+An artificial column would change no other byte, and no pivot would
 read it: while basic its reduced cost is exactly 0, and once it leaves it
 may not re-enter. So storing the artificials as labels alone is exact.
 """
@@ -28,6 +31,7 @@ may not re-enter. So storing the artificials as labels alone is exact.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +75,8 @@ class LinearProgram:
     constraint_senses : per-row sense, each one of "<=", "=", ">="
     rhs : (m,) right-hand sides
     variable_lower_bounds : (n,) finite lower bounds (x >= lb)
+    start : (row, column) pivots from the slack basis, each row and column
+        once and each column a variable; solve_lp may skip phase 1 there
     """
 
     objective: np.ndarray
@@ -78,6 +84,7 @@ class LinearProgram:
     constraint_senses: tuple
     rhs: np.ndarray
     variable_lower_bounds: np.ndarray
+    start: tuple = ()
 
     def __post_init__(self):
         obj = _as_readonly(self.objective)
@@ -103,6 +110,14 @@ class LinearProgram:
                           ("rhs", rhs), ("variable_lower_bounds", lb)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite entries")
+        try:
+            start = tuple((operator.index(row), operator.index(col)) for row, col in self.start)
+        except TypeError:
+            raise ValueError("start must hold (row, column) pairs of integers") from None
+        if (any(not (0 <= row < m and 0 <= col < n) for row, col in start)
+                or min(map(len, map(set, zip(*start))), default=0) < len(start)):
+            raise ValueError(f"start must pivot distinct rows of {m} and variables of {n}")
+        object.__setattr__(self, "start", start)
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "constraint_matrix", mat)
         object.__setattr__(self, "constraint_senses", senses)
@@ -126,7 +141,8 @@ class LpSolution:
     unless the status is OPTIMAL. row_prices holds each row's price in the
     final basis, certified by solve_lp: the rate at which the optimum grows
     with the row's rhs, >= 0 on a <= row and <= 0 on a >= row, within
-    OPTIMALITY_TOL. iterations counts simplex pivots across both phases.
+    OPTIMALITY_TOL. iterations counts simplex pivots across both phases,
+    and the start's pivots when the start is taken.
     """
 
     status: SolveStatus
@@ -246,6 +262,26 @@ def _initial_tableau(lp: LinearProgram, le: np.ndarray, ge: np.ndarray):
     return T, basis, art_start, np.concatenate((slack_rows, surplus_rows))
 
 
+def _take_start(lp: LinearProgram, T: np.ndarray, basis: np.ndarray, owners: np.ndarray):
+    """Pivot lp.start into T's slack basis, then each artificial left onto its
+    row's surplus. The pivots made, or None (T spoiled) if a start pivot is
+    below PIVOT_TOL, an = row keeps its artificial or a value is infeasible."""
+    for row, col in lp.start:
+        if abs(T[row, col]) <= PIVOT_TOL:
+            return None
+        _pivot(T, basis, row, col)
+    surplus = np.full(basis.size, -1)
+    surplus[owners] = lp.num_variables + np.arange(owners.size)
+    rows = (basis >= lp.num_variables + owners.size).nonzero()[0]  # the artificials
+    if (surplus[rows] < 0).any():
+        return None
+    for row in rows:
+        _pivot(T, basis, row, surplus[row])
+    if T[:-1, -1].min(initial=0.0) < -FEASIBILITY_TOL:
+        return None
+    return len(lp.start) + rows.size
+
+
 def _row_prices(lp: LinearProgram, basis: np.ndarray, kept: np.ndarray,
                 owners: np.ndarray) -> np.ndarray:
     """Row prices y of the final basis, solved from B'y = c_B on the
@@ -280,28 +316,33 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     """
     le, ge = _sense_masks(lp)
     T, basis, art_start, owners = _initial_tableau(lp, le, ge)
-    phase1 = np.zeros(art_start + lp.num_constraints)
-    phase1[art_start:] = -1.0  # cost of each artificial label
-    _install_objective(T, basis, phase1)
-    outcome, iterations = _iterate(T, basis, MAX_ITERATIONS)
-    if outcome == "unbounded" and T[-1, -1] <= FEASIBILITY_TOL:
-        # Phase 1 is bounded by construction, so such a ray is elimination
-        # residue. From a basis already feasible phase 2 goes on, and the
-        # certificate decides.
-        outcome = "optimal"
-    if outcome != "optimal":
-        # Phase 1 is bounded by construction, so anything else is numeric.
-        return LpSolution(SolveStatus.NUMERICAL_FAILURE, iterations=iterations)
-    if T[-1, -1] > FEASIBILITY_TOL:
-        return LpSolution(SolveStatus.INFEASIBLE, iterations=iterations)
+    iterations = _take_start(lp, T, basis, owners) if lp.start else None
+    kept = np.arange(basis.size)
+    if iterations is None:
+        if lp.start:  # not taken: phase 1 from the slack basis
+            T, basis, art_start, owners = _initial_tableau(lp, le, ge)
+        phase1 = np.zeros(art_start + lp.num_constraints)
+        phase1[art_start:] = -1.0  # cost of each artificial label
+        _install_objective(T, basis, phase1)
+        outcome, iterations = _iterate(T, basis, MAX_ITERATIONS)
+        if outcome == "unbounded" and T[-1, -1] <= FEASIBILITY_TOL:
+            # Phase 1 is bounded by construction, so such a ray is elimination
+            # residue. From a basis already feasible phase 2 goes on, and the
+            # certificate decides.
+            outcome = "optimal"
+        if outcome != "optimal":
+            # Phase 1 is bounded by construction, so anything else is numeric.
+            return LpSolution(SolveStatus.NUMERICAL_FAILURE, iterations=iterations)
+        if T[-1, -1] > FEASIBILITY_TOL:
+            return LpSolution(SolveStatus.INFEASIBLE, iterations=iterations)
 
-    for i in (basis >= art_start).nonzero()[0]:
-        pivots = (np.abs(T[i, :-1]) > PIVOT_TOL).nonzero()[0]
-        if pivots.size:
-            _pivot(T, basis, i, int(pivots[0]))
-    kept = (basis < art_start).nonzero()[0]  # a still-basic artificial: redundant row
-    if kept.size < basis.size:
-        T, basis = T[np.append(kept, -1)], basis[kept]
+        for i in (basis >= art_start).nonzero()[0]:
+            pivots = (np.abs(T[i, :-1]) > PIVOT_TOL).nonzero()[0]
+            if pivots.size:
+                _pivot(T, basis, i, int(pivots[0]))
+        kept = (basis < art_start).nonzero()[0]  # a still-basic artificial: redundant row
+        if kept.size < basis.size:
+            T, basis = T[np.append(kept, -1)], basis[kept]
 
     phase2 = np.zeros(art_start)
     phase2[:lp.num_variables] = lp.objective

@@ -31,9 +31,10 @@ Each model is stated in multiplier form. From ENVELOPMENT_MIN_DMUS DMUs
 up, every LP, the pinned stage-priority LP included, is solved as its LP
 dual, the envelopment form, with a row per weight instead of one per
 ratio constraint, each built straight from blocks kept once per dataset.
-The weights are read back from the dual's row prices, which solve_lp
-certifies. A dual that ends without a proved optimum is solved again in
-multiplier form, whose status decides.
+Each dual starts at DMU k's best single-peer vertex, one kept ratio row
+per link, so solve_lp skips phase 1. The weights are read back from the
+dual's row prices, which solve_lp certifies. A dual that ends without a
+proved optimum is solved again in multiplier form, whose status decides.
 """
 
 from __future__ import annotations
@@ -77,12 +78,12 @@ SCORE_EXCESS_TOL = 1e-9
 #: LPs took 0.74x the multiplier form's time at n = 30, 0.70x at n = 40 and
 #: 0.80x at n = 50, but 1.15x at n = 20 and 1.7x on the bundled 13-DMU set
 #: (179 pivots against 89). Under SECOND_STAGE, the pinned LPs of the
-#: benchmark's sparse and dense 100-DMU sets take 15.6 and 7.6 pivots each
-#: as duals, 36.2 and 6.1 in multiplier form. Below 40, the duals of 4
-#: batch-small DMUs (seeds 1-3, n = 28 to 37) failed where the multiplier
-#: LPs solve. Dropping rows changes the pivots, and with them the last bits
-#: of some scores; the bundled set would drop 12 of its 13 CCR rows, and
-#: the benchmark compares its netdea compare output byte for byte.
+#: benchmark's sparse and dense 100-DMU sets take 14.7 and 7.6 pivots each
+#: as duals (3 and 2 of them the start's), 36.2 and 6.1 in multiplier form.
+#: Below 40, the duals of 4 batch-small DMUs (seeds 1-3, n = 28 to 37)
+#: failed where the multiplier LPs solve. Dropping rows moves the pivots
+#: and the last bits of some scores; the bundled set would drop 12 of its
+#: 13 CCR rows, and the benchmark compares netdea compare byte for byte.
 ENVELOPMENT_MIN_DMUS = 40
 
 
@@ -279,7 +280,8 @@ class _LpSystem:
     the chain's own columns, is built once per dataset too, read-only, and
     so is the column slice of each of its slots. An LP then only writes its
     equality rows beside a copy of the block: lp above it, envelopment_lp
-    above its negation, in rows whose transpose is the dual's matrix.
+    above its negation, in rows whose transpose is the dual's matrix. The
+    duals' starts are searched for all DMUs at once, per (chain, scored).
     """
 
     def __init__(self, data: Dataset):
@@ -305,6 +307,49 @@ class _LpSystem:
         for arr in (*self.normalized.values(), *self.ratio_rows.values(),
                     *self.blocks.values()):
             arr.setflags(write=False)
+        self.starts = {}
+
+    def _start_pivots(self, chain: str, normalization: str, objective: str) -> tuple:
+        """Each DMU k's best single-peer vertex of the duals envelopment_lp
+        builds, as (rows, peers), empty unless the objective slot follows the
+        normalization slot in the chain. Demand d starts as DMU k's data in
+        the objective slot. Each link back to the normalization slot takes
+        one kept ratio row j, lambda_j = max(d / b_j), and sets d = lambda_j
+        a_j; there y = max(d / x_k) closes the walk. The peers minimize y,
+        the dual's objective up to epsilon terms. Each lambda_j and y enters
+        on the weight row where its max is attained (rows[k]; peers[k] holds
+        the lambdas' rows in the chain's block), so every dual row holds.
+        DMUs go in blocks: no temporary holds much more than 2**19 floats."""
+        walk = [chain[i - 1:i + 1]  # objective side first
+                for i in range(chain.index(objective), chain.index(normalization), -1)]
+        if not walk:
+            return (np.zeros((len(self.normalized[objective]), 0), dtype=int),) * 2
+        outputs = [self.ratio_rows[ab][:, self.columns[ab[1]]] for ab in walk]
+        inputs = [-self.ratio_rows[ab][:, self.columns[ab[0]]] for ab in walk]
+        # lambda_i / lambda_j of row i of a link and row j of the one before
+        relays = [(r.max(axis=2), r.argmax(axis=2))
+                  for r in (a[None] / b[:, None] for a, b in zip(inputs, outputs[1:]))]
+        demand, norm = self.normalized[objective], self.normalized[normalization]
+        step = max(1, 2**19 // max(outputs[0].size, inputs[-1].size, *(f.size for f, _ in relays)))
+        peers = np.empty((len(demand), len(walk)), dtype=int)
+        for lo in range(0, len(demand), step):
+            block = slice(lo, lo + step)
+            cost, backs = (demand[block, None] / outputs[0]).max(axis=2), []
+            for factor, _ in relays:  # the cheapest path to each row of the next link
+                backs.append((cost[:, None] * factor).argmin(axis=2))  # last axis: no copy
+                cost = (cost[:, None] * factor).min(axis=2)
+            cost *= (inputs[-1] / norm[block, None]).max(axis=2)
+            peers[block, -1] = cost.argmin(axis=1)
+            for t in reversed(range(len(relays))):
+                peers[block, t] = np.take_along_axis(backs[t], peers[block, t + 1, None], 1)[:, 0]
+        slots = self.chain_columns[chain]
+        rows = [slots[objective].start + (demand / outputs[0][peers[:, 0]]).argmax(axis=1)]
+        rows += [slots[ab[0]].start + at[peers[:, t + 1], peers[:, t]]
+                 for t, (ab, (_, at)) in enumerate(zip(walk, relays))]
+        rows.append(slots[normalization].start + (inputs[-1][peers[:, -1]] / norm).argmax(axis=1))
+        offsets = [sum(len(self.ratio_rows[chain[i:i + 2]]) for i in range(chain.index(ab[0])))
+                   for ab in walk]
+        return np.column_stack(rows), peers + offsets
 
     def _equalities(self, k: int, chain: str, normalization: str,
                     pinned_overall: float | None, out: np.ndarray) -> None:
@@ -363,8 +408,12 @@ class _LpSystem:
         costs = np.zeros(width)
         costs[self.chain_columns[chain][objective]] = self.normalized[objective][k]
         bound = np.array((1.0, 0.0)[:eqs]) - products[:eqs]
+        if (chain, scored) not in self.starts:
+            self.starts[chain, scored] = self._start_pivots(chain, *scored)
+        pivots, peers = self.starts[chain, scored]  # and y+ of the normalization, column 0
+        start = tuple(zip(pivots[k].tolist(), (peers[k] + 2 * eqs).tolist() + [0]))
         return LinearProgram(np.concatenate((-bound, bound, -products[eqs:])), rows.T,
-                             (LESS_EQUAL,) * width, -costs, np.zeros(len(rows)))
+                             (LESS_EQUAL,) * width, -costs, np.zeros(len(rows)), start)
 
 
 def _solve_envelopment(dual: LinearProgram, epsilon: float) -> LpSolution | None:

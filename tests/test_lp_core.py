@@ -744,14 +744,94 @@ def reference_solve_lp(problem):
 class TestArtificialColumnReference:
     def test_same_solves_as_with_artificial_columns(self, make_random_lp):
         # Storing the artificials as basis labels only must change no pivot
-        # and no byte of any result.
+        # and no byte of any result. The reference runs phase 1 whatever the
+        # start, so each LP is compared without its start.
         statuses, with_artificials = set(), 0
         for problem in _kernel_cases(make_random_lp):
             want = reference_solve_lp(problem)
-            assert_same_solve(solve_lp(problem), want)
+            assert_same_solve(solve_lp(dataclasses.replace(problem, start=())), want)
             statuses.add(want.status)
             T, _, art_start = reference_initial_tableau(problem)
             with_artificials += T.shape[1] - 1 > art_start
         assert statuses == {SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE,
                             SolveStatus.UNBOUNDED}
         assert with_artificials > 100
+
+
+class TestStart:
+    """A start pivots onto the slack basis. Phase 2 begins there when no
+    artificial is left and the basis is feasible; otherwise phase 1 runs
+    from the slack basis, as without a start."""
+
+    def test_bad_start_rejected(self):
+        problem = lp([1, 1], [[1, 2], [3, 1]], [LESS_EQUAL] * 2, [4, 6])
+        for start in (((2, 0),), ((0, 2),), ((-1, 0),), ((0, -1),),
+                      ((0, 0), (0, 1)), ((0, 0), (1, 0)),
+                      ((0, 1.0),), ((0.5, 1),), (("0", 1),), ((0,),), (0,)):
+            with pytest.raises(ValueError):
+                dataclasses.replace(problem, start=start)
+        assert dataclasses.replace(problem, start=[(np.int64(1), 0)]).start == ((1, 0),)
+
+    def test_feasible_start_skips_phase_one(self, monkeypatch):
+        # x enters on row 1 (x = 2), and row 2's artificial swaps for its
+        # surplus (1): three pivots before phase 2, which needs one.
+        problem = lp([1, 1], [[1, 2], [3, 1], [1, 1]],
+                     [LESS_EQUAL, LESS_EQUAL, GREATER_EQUAL], [4, 6, 1])
+        iterate, phases = lp_core._iterate, []
+        monkeypatch.setattr(lp_core, "_iterate", lambda *args: phases.append(iterate(*args))
+                            or phases[-1])
+        got = solve_lp(dataclasses.replace(problem, start=((1, 0),)))
+        assert phases == [("optimal", 1)]
+        assert got.iterations == 3
+        assert got.status is SolveStatus.OPTIMAL
+        assert got.objective_value == pytest.approx(2.8, abs=1e-12)
+        assert got.row_prices == pytest.approx([0.4, 0.2, 0.0], abs=1e-12)
+
+    @staticmethod
+    def _start_basis(problem, start):
+        """What the start's basis is, with each other row's slack or surplus
+        basic, worked out from the LP's data: "equality row" when an = row
+        is left without a pivot, "singular", "infeasible" or "feasible"."""
+        rows, cols = map(list, zip(*start))
+        A, senses = problem.constraint_matrix, np.array(problem.constraint_senses)
+        b = problem.rhs - A @ problem.variable_lower_bounds
+        others = np.setdiff1d(np.arange(len(b)), rows)
+        if (senses[others] == EQUAL).any():
+            return "equality row"
+        if abs(np.linalg.det(A[rows][:, cols])) < 0.5:  # integer data
+            return "singular"
+        x = np.zeros(A.shape[1])
+        x[cols] = np.linalg.solve(A[rows][:, cols], b[rows])
+        slack = np.where(senses == GREATER_EQUAL, -1.0, 1.0) * (b - A @ x)
+        feasible = min(x.min(), slack[others].min(initial=0.0)) >= -FEASIBILITY_TOL
+        return "feasible" if feasible else "infeasible"
+
+    def test_start_not_taken_solves_as_without_it(self, monkeypatch, make_random_lp):
+        # Random starts on random LPs. One that leaves an artificial on an =
+        # row, or reaches a basic value below -FEASIBILITY_TOL, is not taken
+        # and changes no pivot and no byte; one that is taken reaches the
+        # same status and optimum.
+        take, taken = lp_core._take_start, []
+        monkeypatch.setattr(lp_core, "_take_start",
+                            lambda *args: taken.append(take(*args)) or taken[-1])
+        rng = np.random.default_rng(24)
+        seen = {"equality row": 0, "singular": 0, "infeasible": 0, "feasible": 0}
+        for _ in range(400):
+            problem = make_random_lp(rng, max_vars=6, max_constraints=8)
+            m, n = problem.constraint_matrix.shape
+            size = int(rng.integers(1, min(m, n) + 1))
+            start = tuple(zip(rng.permutation(m)[:size].tolist(),
+                              rng.permutation(n)[:size].tolist()))
+            got, want = solve_lp(dataclasses.replace(problem, start=start)), solve_lp(problem)
+            basis = self._start_basis(problem, start)
+            seen[basis] += 1
+            if taken[-1] is None:
+                assert_same_solve(got, want)
+                assert got.row_prices.tobytes() == want.row_prices.tobytes()
+            else:
+                assert basis == "feasible"
+                assert got.status is want.status
+                assert got.objective_value == pytest.approx(want.objective_value, abs=1e-9,
+                                                            nan_ok=True)
+        assert min(seen["equality row"], seen["infeasible"], seen["feasible"]) >= 40
+        assert len(taken) - taken.count(None) >= 40

@@ -8,6 +8,7 @@ maxima, and each prioritized stage score equals its independent CCR score.
 Solver output is compared against these with a tiny epsilon.
 """
 
+import dataclasses
 import importlib.util
 import itertools
 import sys
@@ -679,7 +680,9 @@ class TestStackedBuilderReference:
     stacked each LP's rows afresh, and for each of these LPs, pinned or
     not, _LpSystem.envelopment_lp against the dual that
     stacked_envelopment_builder transposes from it. The second epsilon
-    catches a term that a builder keeps per chain but epsilon changes."""
+    catches a term that a builder keeps per chain but epsilon changes. A
+    dual starts from a vertex (TestStartVertex) unless its objective slot
+    comes before its normalization slot in the chain."""
 
     @staticmethod
     def _check(data):
@@ -699,6 +702,8 @@ class TestStackedBuilderReference:
                             _assert_same_lp(lp, stacked)
                             dual = system.envelopment_lp(k, chain, scored, epsilon, overall)
                             _assert_same_lp(dual, stacked_envelopment_builder(lp))
+                            walked = chain.index(scored[1]) - chain.index(scored[0])
+                            assert len(dual.start) == (walked + 1 if walked > 0 else 0)
                             built += 1
         assert built == 2 * data.n * (2 * 2 + 2 + 2 + 6 * 2)
 
@@ -873,12 +878,13 @@ class TestEnvelopmentForm:
     def test_feasible_phase_one_ray_goes_on_to_phase_two(self, monkeypatch,
                                                           dispersed_10000):
         # The relational overall duals of these three DMUs of a 10,000-DMU
-        # set end phase 1 "unbounded" at a phase-1 objective within
-        # FEASIBILITY_TOL: a ray of rounding residue in a bounded phase 1,
-        # from a basis that is already feasible. They were numerical
-        # failures; phase 2 now goes on from there and the certificate
-        # decides. Scores and stage splits against HiGHS on the LPs with
-        # all 2n stage rows.
+        # set, solved from the slack basis, end phase 1 "unbounded" at a
+        # phase-1 objective within FEASIBILITY_TOL: a ray of rounding residue
+        # in a bounded phase 1, from a basis that is already feasible. They
+        # were numerical failures; phase 2 now goes on from there and the
+        # certificate decides. The model solves them from their start, so
+        # its scores and stage splits are checked against HiGHS on the LPs
+        # with all 2n stage rows, and the duals without a start against them.
         data, ids = dispersed_10000, dispersed_10000.dmu_ids
         iterate, outcomes = lp_core._iterate, []
 
@@ -890,13 +896,14 @@ class TestEnvelopmentForm:
         monkeypatch.setattr(lp_core, "_iterate", recording_iterate)
         for dmu in ("D6377", "D6424", "D6895"):
             k = ids.index(dmu)
+            dual = data._lp_system.envelopment_lp(k, "uwv", "uv", 1e-6)
             outcomes.clear()
-            overall = solve_relational_overall(data, k)
+            solution = models._solve_envelopment(dataclasses.replace(dual, start=()), 1e-6)
             phase1, phase2 = outcomes
             assert phase1[0] == "unbounded" and phase1[1] <= FEASIBILITY_TOL
             assert phase2[0] == "optimal"
             record = assert_split_matches_highs(data, k, StagePriority.SECOND_STAGE)
-            assert record.overall == overall
+            assert solution.objective_value == pytest.approx(record.overall, abs=1e-12)
 
     def test_pinned_duals_of_a_10000_dmu_set(self, dispersed_10000):
         # The SECOND_STAGE pinned LPs of these two DMUs ended in
@@ -908,15 +915,28 @@ class TestEnvelopmentForm:
 
     @pytest.mark.parametrize("priority", list(StagePriority))
     def test_unbounded_dual_is_solved_again(self, monkeypatch, priority):
-        # D50's relational dual on this wide set ends "unbounded" after 196
-        # pivots, without a proof, while its multiplier LP is optimal. It
-        # was read as an infeasible multiplier LP: "epsilon=1e-06 is too
-        # large".
+        # D50's relational dual on this wide set, solved from the slack
+        # basis, ends "unbounded" after 196 pivots, without a proof, while
+        # its multiplier LP is optimal. It was read as an infeasible
+        # multiplier LP: "epsilon=1e-06 is too large". From its start it
+        # solves, and so does its pinned dual. Forced onto the slack basis,
+        # the relational dual fails as before and is solved again in
+        # multiplier form. Both records against HiGHS.
         X, Z, Y = _perfbench_generate().dispersed(np.random.default_rng(0), 400, 5, 3, 3)
         ids = tuple(f"D{j + 1}" for j in range(len(X)))
+        data = Dataset(ids, ids, X, Z, Y)
         solved = self._record(monkeypatch)
-        record = assert_split_matches_highs(Dataset(ids, ids, X, Z, Y), 49, priority)
+        record = assert_split_matches_highs(data, 49, priority)
         assert record.overall == pytest.approx(0.0747491441, abs=1e-10)
+        assert [solution.status for _, solution in solved] == [SolveStatus.OPTIMAL] * 2
+        assert all(dual.start for dual, _ in solved)
+
+        solved.clear()
+        recording_solve = models.solve_lp
+        monkeypatch.setattr(models, "solve_lp", lambda problem: recording_solve(
+            dataclasses.replace(problem, start=())))
+        again = assert_split_matches_highs(data, 49, priority)
+        assert again.overall == pytest.approx(record.overall, abs=1e-12)
         (dual, dual_solution), (problem, solution), _ = solved
         assert dual_solution.status is SolveStatus.UNBOUNDED
         assert problem.constraint_senses.count(EQUAL) == 1
@@ -942,6 +962,59 @@ class TestEnvelopmentForm:
         stage2 = solve_lp(system.lp(5, "uwv", "wv", 1e-6, overall)).objective_value
         assert (record.overall, record.stage2) == (overall, stage2)
         assert ccr.overall == solve_lp(system.lp(5, "uv", "uv", 1e-6)).objective_value
+
+
+def brute_force_start(system, k, chain, scored):
+    """The least y over every choice of one kept ratio row per link, walked
+    from scored's objective slot back to its normalization slot one row at
+    a time: each row j takes lambda = max(d / b_j) and passes lambda a_j on,
+    and y = max(d / x_k) at the normalization slot."""
+    normalization, objective = scored
+    slots = chain[chain.index(normalization):chain.index(objective) + 1]
+    links = [a + b for a, b in zip(slots, slots[1:])][::-1]
+    best = np.inf
+    for peers in itertools.product(*(system.ratio_rows[ab] for ab in links)):
+        demand = system.normalized[objective][k]
+        for ab, row in zip(links, peers):
+            demand = max(demand / row[system.columns[ab[1]]]) * -row[system.columns[ab[0]]]
+        best = min(best, max(demand / system.normalized[normalization][k]))
+    return best
+
+
+class TestStartVertex:
+    """From ENVELOPMENT_MIN_DMUS DMUs up, each dual starts at DMU k's best
+    single-peer vertex: one ratio row per link walked and y, pivoted in
+    where each max is attained, so that solve_lp skips phase 1."""
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (1, 3, 2), (2, 2, 3), (5, 3, 3)])
+    def test_start_is_the_best_feasible_single_peer_vertex(self, monkeypatch,
+                                                            make_random_dataset, shape):
+        data = make_random_dataset(np.random.default_rng(sum(shape)), 45, *shape)
+        system = data._lp_system
+        iterate, phases = lp_core._iterate, []
+
+        def counting_iterate(T, basis, budget):
+            phases.append(budget)
+            return iterate(T, basis, budget)
+
+        monkeypatch.setattr(lp_core, "_iterate", counting_iterate)
+        for chain, scored in (("uv", "uv"), ("uw", "uw"), ("wv", "wv"),
+                              ("uwv", "uv"), ("uwv", "uw"), ("uwv", "wv")):
+            for k in range(data.n):
+                want = brute_force_start(system, k, chain, scored)
+                for pin in (None, 0.5) if scored != "uv" and chain == "uwv" else (None,):
+                    dual = system.envelopment_lp(k, chain, scored, 1e-6, pin)
+                    rows, cols = map(list, zip(*dual.start))
+                    A, b = dual.constraint_matrix, dual.rhs
+                    x = np.zeros(dual.num_variables)  # the start's basic solution
+                    x[cols] = np.linalg.solve(A[rows][:, cols], b[rows])
+                    assert x.min() >= -FEASIBILITY_TOL
+                    assert (A @ x - b).max() <= FEASIBILITY_TOL
+                    assert x[0] == pytest.approx(want, rel=1e-12)  # y+ of the normalization
+                    if pin is None and k % 9 == 0:  # phase 2 only
+                        phases.clear()
+                        assert solve_lp(dual).status is SolveStatus.OPTIMAL
+                        assert len(phases) == 1
 
 
 class TestImpliedRows:

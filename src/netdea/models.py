@@ -58,9 +58,7 @@ from .lp_core import (
     EQUAL,
     LESS_EQUAL,
     LinearProgram,
-    LpSolution,
     SolveStatus,
-    _as_readonly,
     solve_lp,
 )
 
@@ -73,17 +71,18 @@ PRODUCT_IDENTITY_TOL = 1e-6
 SCORE_EXCESS_TOL = 1e-9
 
 #: From this many DMUs up, the implied ratio rows are dropped and every LP
-#: is solved in envelopment form first. For the envelopment form, the
-#: crossover lies lower on dispersed 3/1/1 sets: the relational and CCR
-#: LPs took 0.74x the multiplier form's time at n = 30, 0.70x at n = 40 and
-#: 0.80x at n = 50, but 1.15x at n = 20 and 1.7x on the bundled 13-DMU set
-#: (179 pivots against 89). Under SECOND_STAGE, the pinned LPs of the
-#: benchmark's sparse and dense 100-DMU sets take 14.7 and 7.6 pivots each
-#: as duals (3 and 2 of them the start's), 36.2 and 6.1 in multiplier form.
-#: Below 40, the duals of 4 batch-small DMUs (seeds 1-3, n = 28 to 37)
-#: failed where the multiplier LPs solve. Dropping rows moves the pivots
-#: and the last bits of some scores; the bundled set would drop 12 of its
-#: 13 CCR rows, and the benchmark compares netdea compare byte for byte.
+#: is solved in envelopment form first. Since the duals start at a vertex,
+#: that form is no slower below 40 either: the default analysis, with this
+#: at 2, takes 152 pivots against 159 on the bundled 13-DMU set in about
+#: equal time, 274 against 800 (13 ms against 22) and 438 against 2,136
+#: (20 ms against 53) on dispersed 3/1/1 sets of 20 and 30 DMUs. It stays
+#: at 40 because dropping rows moves the pivots and the last bits of some
+#: scores: the bundled set would drop 12 of its 13 CCR rows and change its
+#: csv and json reports, which tests/golden/ and the benchmark's
+#: cli-paper13 workload pin byte for byte. Under SECOND_STAGE, the pinned LPs
+#: of the benchmark's sparse and dense 100-DMU sets take 14.7 and 7.6
+#: pivots each as duals (3 and 2 of them the start's), 36.2 and 6.1 in
+#: multiplier form.
 ENVELOPMENT_MIN_DMUS = 40
 
 
@@ -278,9 +277,10 @@ class _LpSystem:
 
     Each chain's ratio block, its links' rows stacked in chain order over
     the chain's own columns, is built once per dataset too, read-only, and
-    so is the column slice of each of its slots. An LP then only writes its
-    equality rows beside a copy of the block: lp above it, envelopment_lp
-    above its negation, in rows whose transpose is the dual's matrix. The
+    so is the column slice of each of its slots. _equalities writes DMU k's
+    equality rows and costs for both LP forms, which differ only in layout:
+    lp stacks the rows above the block, envelopment_lp above its negation,
+    in rows whose transpose is the dual's matrix. The
     duals' starts are searched for all DMUs at once, per (chain, scored).
     """
 
@@ -351,15 +351,22 @@ class _LpSystem:
                    for ab in walk]
         return np.column_stack(rows), peers + offsets
 
-    def _equalities(self, k: int, chain: str, normalization: str,
-                    pinned_overall: float | None, out: np.ndarray) -> None:
-        """Write DMU k's equality rows into out's zeroed rows: the weighted
-        sum in slot normalization and, if pinned, y_k.v - pinned * x_k.u."""
+    def _equalities(self, k: int, chain: str, scored: str,
+                    pinned_overall: float | None) -> tuple:
+        """DMU k's equality rows E t = e and costs c over the chain's
+        columns, as (E, e, c): with scored = (a, b), its weighted sum in
+        slot a = 1 and, if pinned, y_k.v - pinned_overall * x_k.u = 0; c is
+        its data in slot b."""
+        normalization, objective = scored
         norm, cols = self.normalized, self.chain_columns[chain]
-        out[0, cols[normalization]] = norm[normalization][k]
+        eqs, width = 1 if pinned_overall is None else 2, self.blocks[chain].shape[1]
+        rows, costs = np.zeros((eqs, width)), np.zeros(width)
+        rows[0, cols[normalization]] = norm[normalization][k]
         if pinned_overall is not None:
-            out[1, cols["u"]] = -pinned_overall * norm["u"][k]
-            out[1, cols["v"]] = norm["v"][k]
+            rows[1, cols["u"]] = -pinned_overall * norm["u"][k]
+            rows[1, cols["v"]] = norm["v"][k]
+        costs[cols[objective]] = norm[objective][k]
+        return rows, np.array((1.0, 0.0)[:eqs]), costs
 
     def lp(self, k: int, chain: str, scored: str, epsilon: float,
            pinned_overall: float | None = None) -> LinearProgram:
@@ -369,21 +376,13 @@ class _LpSystem:
         x_k.u when pinned, the ratio rows of the chain's links in chain
         order <= 0, and t >= epsilon.
         """
-        normalization, objective = scored
         block = self.blocks[chain]
-        eqs = 1 if pinned_overall is None else 2
-        matrix = np.zeros((eqs + len(block), block.shape[1]))
-        matrix[eqs:] = block
-        self._equalities(k, chain, normalization, pinned_overall, matrix)
-        costs = np.zeros(block.shape[1])
-        costs[self.chain_columns[chain][objective]] = self.normalized[objective][k]
-        rhs = np.zeros(len(matrix))
-        rhs[0] = 1.0
+        equalities, rhs, costs = self._equalities(k, chain, scored, pinned_overall)
         return LinearProgram(
             objective=costs,
-            constraint_matrix=matrix,
-            constraint_senses=(EQUAL,) * eqs + (LESS_EQUAL,) * len(block),
-            rhs=rhs,
+            constraint_matrix=np.vstack((equalities, block)),
+            constraint_senses=(EQUAL,) * len(rhs) + (LESS_EQUAL,) * len(block),
+            rhs=np.concatenate((rhs, np.zeros(len(block)))),
             variable_lower_bounds=np.full(block.shape[1], epsilon),
         )
 
@@ -397,44 +396,17 @@ class _LpSystem:
         Its matrix is the transpose of the rows [-E; E; -R]; the product of
         the last ones with eps rounds as [E; R]'s would, R's negated."""
         block = self.blocks[chain]
-        normalization, objective = scored
-        width = block.shape[1]
-        eqs = 1 if pinned_overall is None else 2
-        rows = np.zeros((2 * eqs + len(block), width))
-        self._equalities(k, chain, normalization, pinned_overall, rows[eqs:])
-        np.negative(rows[eqs:2 * eqs], out=rows[:eqs])
-        np.negative(block, out=rows[2 * eqs:])
+        equalities, rhs, costs = self._equalities(k, chain, scored, pinned_overall)
+        eqs, width = len(rhs), block.shape[1]
+        rows = np.vstack((-equalities, equalities, -block))
         products = rows[eqs:] @ np.full(width, epsilon)
-        costs = np.zeros(width)
-        costs[self.chain_columns[chain][objective]] = self.normalized[objective][k]
-        bound = np.array((1.0, 0.0)[:eqs]) - products[:eqs]
+        bound = rhs - products[:eqs]
         if (chain, scored) not in self.starts:
             self.starts[chain, scored] = self._start_pivots(chain, *scored)
         pivots, peers = self.starts[chain, scored]  # and y+ of the normalization, column 0
         start = tuple(zip(pivots[k].tolist(), (peers[k] + 2 * eqs).tolist() + [0]))
         return LinearProgram(np.concatenate((-bound, bound, -products[eqs:])), rows.T,
                              (LESS_EQUAL,) * width, -costs, np.zeros(len(rows)), start)
-
-
-def _solve_envelopment(dual: LinearProgram, epsilon: float) -> LpSolution | None:
-    """Solve the dual from _LpSystem.envelopment_lp, with the result in the
-    multiplier LP's terms: the weights are t = epsilon + the row prices,
-    the score is c't with c = -dual.rhs and row_prices stays empty; None
-    unless the dual ends OPTIMAL, the one status solve_lp proves. solve_lp's
-    certificate of the dual checks t against the multiplier LP row for row:
-    the price signs are t >= eps, the reduced costs E t = e and R t <= 0,
-    the gap c't against the bound.
-
-    The score is c't, not the dual's bound, because a stage-priority LP
-    pins it: a bound a rounding error above the optimum can make that LP
-    infeasible, as it did for one DMU of a 100-DMU dispersed 3/1/1 set.
-    """
-    sol = solve_lp(dual)
-    if sol.status is not SolveStatus.OPTIMAL:
-        return None
-    t = epsilon + sol.row_prices
-    return LpSolution(SolveStatus.OPTIMAL, objective_value=float(-dual.rhs @ t),
-                      variable_values=_as_readonly(t), iterations=sol.iterations)
 
 
 def _solve(data: Dataset, k: int, cfg: SolverConfig, model: str, chain: str,
@@ -456,24 +428,36 @@ def _solve(data: Dataset, k: int, cfg: SolverConfig, model: str, chain: str,
     dmu = data.dmu_ids[k]
     context = f"{model} model for DMU {dmu}"
     system, scored = data._lp_system, scored or chain[0] + chain[-1]
-    sol = None
+    t = None
     if data.n >= ENVELOPMENT_MIN_DMUS:
-        sol = _solve_envelopment(
-            system.envelopment_lp(k, chain, scored, cfg.epsilon, pinned_overall), cfg.epsilon)
-    if sol is None:
+        dual = system.envelopment_lp(k, chain, scored, cfg.epsilon, pinned_overall)
+        sol = solve_lp(dual)
+        if sol.status is SolveStatus.OPTIMAL:
+            # The weights are t = epsilon + the row prices, which solve_lp's
+            # certificate of the dual checks against the LP row for row: the
+            # price signs are t >= eps, the reduced costs E t = e and R t <= 0,
+            # the gap c't against the bound. The score is c't with
+            # c = -dual.rhs, not the dual's bound,
+            # because a stage-priority LP pins it: a bound a rounding error
+            # above the optimum can make that LP infeasible, as it did for
+            # one DMU of a 100-DMU dispersed 3/1/1 set.
+            t = cfg.epsilon + sol.row_prices
+            t.setflags(write=False)
+            score = float(-dual.rhs @ t)
+    if t is None:
         sol = solve_lp(system.lp(k, chain, scored, cfg.epsilon, pinned_overall))
-    if sol.status is SolveStatus.INFEASIBLE and pinned_overall is None:
-        raise ConfigurationError(
-            f"{context}: LP infeasible; epsilon={cfg.epsilon} is too large "
-            f"for the normalized data"
-        )
-    if sol.status is not SolveStatus.OPTIMAL:
-        raise SolverFailureError(f"{context}: solver returned {sol.status.value}")
-    score = sol.objective_value
+        if sol.status is SolveStatus.INFEASIBLE and pinned_overall is None:
+            raise ConfigurationError(
+                f"{context}: LP infeasible; epsilon={cfg.epsilon} is too large "
+                f"for the normalized data"
+            )
+        if sol.status is not SolveStatus.OPTIMAL:
+            raise SolverFailureError(f"{context}: solver returned {sol.status.value}")
+        t, score = sol.variable_values, sol.objective_value
     if not 0.0 < score <= 1.0 + SCORE_EXCESS_TOL:
         raise SolverFailureError(f"{context}: efficiency {score} is outside (0, 1]")
     cols = system.chain_columns[chain]
-    weights = {slot: sol.variable_values[cols[slot]] for slot in chain}
+    weights = {slot: t[cols[slot]] for slot in chain}
     return dmu, min(float(score), 1.0), Multipliers(**weights)
 
 

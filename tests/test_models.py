@@ -898,12 +898,14 @@ class TestEnvelopmentForm:
             k = ids.index(dmu)
             dual = data._lp_system.envelopment_lp(k, "uwv", "uv", 1e-6)
             outcomes.clear()
-            solution = models._solve_envelopment(dataclasses.replace(dual, start=()), 1e-6)
+            solution = solve_lp(dataclasses.replace(dual, start=()))
             phase1, phase2 = outcomes
             assert phase1[0] == "unbounded" and phase1[1] <= FEASIBILITY_TOL
             assert phase2[0] == "optimal"
+            assert solution.status is SolveStatus.OPTIMAL
+            score = -dual.rhs @ (1e-6 + solution.row_prices)  # c't, as the model reads it
             record = assert_split_matches_highs(data, k, StagePriority.SECOND_STAGE)
-            assert solution.objective_value == pytest.approx(record.overall, abs=1e-12)
+            assert score == pytest.approx(record.overall, abs=1e-12)
 
     def test_pinned_duals_of_a_10000_dmu_set(self, dispersed_10000):
         # The SECOND_STAGE pinned LPs of these two DMUs ended in
@@ -941,6 +943,29 @@ class TestEnvelopmentForm:
         assert dual_solution.status is SolveStatus.UNBOUNDED
         assert problem.constraint_senses.count(EQUAL) == 1
         assert solution.status is SolveStatus.OPTIMAL
+
+    def test_record_weights_are_read_only(self, monkeypatch, table1):
+        # The three paths a record's weights come from: the multiplier LPs
+        # of the 13-DMU set, optimal duals from 40 DMUs up, and D80 of this
+        # wide set, whose SECOND_STAGE pinned dual ends in numerical_failure
+        # and is solved again in multiplier form.
+        X, Z, Y = _perfbench_generate().dispersed(np.random.default_rng(0), 100, 5, 3, 3)
+        ids = tuple(f"D{j + 1}" for j in range(len(X)))
+        wide = Dataset(ids, ids, X, Z, Y)
+        solved = self._record(monkeypatch)
+        records = [solve(data, k) for data, k in ((table1, 0), (wide, 79))
+                   for solve in (solve_stage_priority, solve_ccr)]
+        optimal, failure = SolveStatus.OPTIMAL, SolveStatus.NUMERICAL_FAILURE
+        assert [(problem.constraint_senses.count(EQUAL), solution.status)
+                for problem, solution in solved] == [
+            (1, optimal), (2, optimal), (1, optimal),
+            (0, optimal), (0, failure), (2, optimal), (0, optimal)]
+        for record in records:
+            weights = record.multipliers
+            for slot in (weights.u, weights.w, weights.v):
+                if slot is not None:
+                    with pytest.raises(ValueError, match="read-only"):
+                        slot[0] = 1.0
 
     def test_failed_dual_gets_the_multiplier_score(self, monkeypatch, make_random_dataset):
         # Every dual fails here, so each of the three LPs is solved twice,
@@ -1084,12 +1109,17 @@ class TestImpliedRows:
         ("near_frontier", (2, 40, 2), (40, 2, 2, 2), StagePriority.FIRST_STAGE, 38),
         ("dispersed", (3, 150, 0), (150, 3, 2, 2), StagePriority.SECOND_STAGE, 25),
         ("dispersed", 100, (100, 3, 2, 2), StagePriority.SECOND_STAGE, 89),
+        *(("dispersed", 0, (n, 5, 3, 3), priority, k)
+          for n, k in ((100, 79), (1000, 110)) for priority in StagePriority),
     ])
     def test_stage_priority_matches_highs(self, case):
         # The pinned LP of the first two DMUs ended in numerical_failure
-        # with every ratio row. The third's pinned dual ends in
-        # numerical_failure and is solved again in multiplier form. Both
-        # scores against HiGHS on the LPs with all 2n stage rows.
+        # with every ratio row. The third's pinned dual ended in
+        # numerical_failure before the duals took a start. On the wide
+        # sets, D80's SECOND_STAGE pinned dual still ends in
+        # numerical_failure from its start and is solved again in
+        # multiplier form; D111 is of the largest wide set. Both scores
+        # against HiGHS on the LPs with all 2n stage rows.
         generator, seed, shape, priority, k = case
         X, Z, Y = getattr(_perfbench_generate(), generator)(np.random.default_rng(seed), *shape)
         ids = tuple(f"D{j + 1}" for j in range(len(X)))

@@ -38,8 +38,9 @@ per checkout, the checkouts again taking turns. Time and pivot exponents
 in n are fitted per family from n = 200 to 400, 400 to 1000 and 1000 to
 10,000, wherever the family has both sizes.
 
-Each checkout's result is stored under its label in the json file
-``--out``; other labels already in that file are kept. The script records
+Each checkout's result, with the line count of its ``src/netdea/*.py``
+(``src_lines``), is stored under its label in the json file ``--out``;
+other labels already in that file are kept. The script records
 numbers and checks nothing.
 """
 
@@ -172,6 +173,11 @@ def time_set(src: Path, name: str) -> dict:
     return result
 
 
+def src_lines(src: Path) -> int:
+    """Lines of the netdea modules under src, as wc -l counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (src / "netdea").glob("*.py"))
+
+
 def time_cli(src: Path) -> float:
     """Seconds one netdea compare process takes on the bundled set."""
     bundled = src / "netdea" / "data" / "iims_2020_21.csv"
@@ -240,8 +246,8 @@ def main(argv=None) -> int:
     if args.out is None:
         parser.error("--out is required")
 
-    results = {label: {"machine": machine_info(), "sets": [], "compare_cli": {"times_s": []}}
-               for label, _ in sides}
+    results = {label: {"machine": machine_info(), "src_lines": src_lines(src), "sets": [],
+                       "compare_cli": {"times_s": []}} for label, src in sides}
     turn = 0
     for name in SETS:
         runs = {label: [] for label, _ in sides}
@@ -270,7 +276,8 @@ def main(argv=None) -> int:
         cli = results[label]["compare_cli"]
         cli["best_s"] = min(cli["times_s"])
         results[label]["exponents"] = exponents(results[label]["sets"])
-        print(f"{label} netdea compare: best {cli['best_s']:.3f} s")
+        print(f"{label} netdea compare: best {cli['best_s']:.3f} s,"
+              f" src/netdea {results[label]['src_lines']} lines")
 
     stored = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     stored.update(results)

@@ -14,8 +14,8 @@ Besides the total, each input group below gets its own digest, solve and
 pivot count (the random LPs; the bundled set; ``sparse-n100``;
 ``dense-n100``; the ``batch-small`` sets), so a change meant to reach
 only some groups can show that the others kept every byte.
-``tests/test_solve_digest.py`` pins the ``sparse-n100`` and ``dense-n100``
-lines through ``digest_library``.
+``tests/test_solve_digest.py`` pins the bundled, ``sparse-n100`` and
+``dense-n100`` lines through ``digest_library``.
 
 netdea is imported from ``CHECKOUT/src`` (default: the checkout this script
 lives in). The inputs always come from this script's own checkout, and

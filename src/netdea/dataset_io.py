@@ -78,9 +78,9 @@ def _parse_cell(raw: str, line: int, index: int, label: str, role: str) -> float
     try:
         value = float(text)
     except ValueError:
-        raise ParseError(
-            f"non-numeric value {raw!r} in column {label!r}", **where
-        ) from None
+        value = None
+    if value is None or "_" in text:  # float() reads PEP 515 separators: "1_5" as 15.0
+        raise ParseError(f"non-numeric value {raw!r} in column {label!r}", **where)
     if not math.isfinite(value):
         raise ParseError(f"non-finite value {raw!r} in column {label!r}", **where)
     if value <= 0:

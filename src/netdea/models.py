@@ -25,7 +25,7 @@ hold up to 2n ratio rows: the stage rows imply the n whole-process rows.
 From ENVELOPMENT_MIN_DMUS DMUs up, each family of ratio rows keeps only
 the rows no kept row implies, which leaves every LP's feasible set as it
 is: the relational LPs of the benchmark's dispersed 100-DMU 3/2/2 set
-keep 28 of their 200 stage rows.
+keep 28 of their 200 stage rows, each stored once, as its DMU's index.
 
 Each model is stated in multiplier form. From ENVELOPMENT_MIN_DMUS DMUs
 up, every LP, the pinned stage-priority LP included, is solved as its LP
@@ -263,8 +263,8 @@ def _undominated(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _LpSystem:
     """The LP data every model of one Dataset shares, built once: X, Z and Y
     divided by their column maxima, keyed by weight slot, and for each link
-    ab of "uv", "uw" and "wv" the ratio rows b_j . t_b - a_j . t_a <= 0
-    over the variables [u | w | v], all read-only. Below
+    ab of "uv", "uw" and "wv", kept[ab], the DMU indices j of the ratio rows
+    b_j . t_b - a_j . t_a <= 0 the LPs keep, all read-only. Below
     ENVELOPMENT_MIN_DMUS DMUs a link keeps all n rows, from there on only
     those _undominated returns, in DMU order. The rows it drops are
     implied, so every LP keeps its feasible set. The benchmark's dispersed
@@ -275,37 +275,34 @@ class _LpSystem:
     whole-process row y_j.v - x_j.u <= 0: it is the sum of DMU j's two stage
     rows, which imply it (Kao & Hwang 2008, EJOR 185).
 
-    Each chain's ratio block, its links' rows stacked in chain order over
-    the chain's own columns, is built once per dataset too, read-only, and
-    so is the column slice of each of its slots. _equalities writes DMU k's
-    equality rows and costs for both LP forms, which differ only in layout:
-    lp stacks the rows above the block, envelopment_lp above its negation,
-    in rows whose transpose is the dual's matrix. The
-    duals' starts are searched for all DMUs at once, per (chain, scored).
+    Each chain's ratio block is built once per dataset too, read-only, and
+    so is the column slice of each of its slots: its links' parts stack in
+    chain order, and row i of link ab's part is DMU kept[ab][i]'s ratio row
+    over the chain's columns. _equalities writes DMU k's equality rows and
+    costs for both LP forms, which differ only in layout: lp stacks the
+    rows above the block, envelopment_lp above its negation, in rows whose
+    transpose is the dual's matrix. The duals' starts are searched for all
+    DMUs at once, per (chain, scored).
     """
 
     def __init__(self, data: Dataset):
         mats = (data.X, data.Z, data.Y)
-        self.normalized = {slot: mat / mat.max(axis=0) for slot, mat in zip("uwv", mats)}
-        edges = np.cumsum([0] + [mat.shape[1] for mat in mats])
-        self.columns = {slot: slice(*edges[i:i + 2]) for i, slot in enumerate("uwv")}
-        self.ratio_rows = {}
-        for a, b in ("uv", "uw", "wv"):
-            rows = np.zeros((data.n, edges[-1]))
-            rows[:, self.columns[a]] = -self.normalized[a]
-            rows[:, self.columns[b]] = self.normalized[b]
-            if data.n >= ENVELOPMENT_MIN_DMUS:
-                rows = rows[_undominated(self.normalized[a], self.normalized[b])]
-            self.ratio_rows[a + b] = rows
+        self.normalized = norm = {slot: mat / mat.max(axis=0) for slot, mat in zip("uwv", mats)}
+        self.kept = {a + b: _undominated(norm[a], norm[b]) if data.n >= ENVELOPMENT_MIN_DMUS
+                     else np.arange(data.n) for a, b in ("uv", "uw", "wv")}
         self.blocks, self.chain_columns = {}, {}
         for chain in ("uv", "uw", "wv", "uwv"):
-            rows = np.vstack([self.ratio_rows[a + b] for a, b in zip(chain, chain[1:])])
-            self.blocks[chain] = np.hstack([rows[:, self.columns[slot]] for slot in chain])
-            widths = np.cumsum([0] + [self.normalized[slot].shape[1] for slot in chain])
-            self.chain_columns[chain] = {slot: slice(*widths[i:i + 2])
-                                         for i, slot in enumerate(chain)}
-        for arr in (*self.normalized.values(), *self.ratio_rows.values(),
-                    *self.blocks.values()):
+            widths = np.cumsum([0] + [norm[slot].shape[1] for slot in chain])
+            cols = self.chain_columns[chain] = {slot: slice(*widths[i:i + 2])
+                                                for i, slot in enumerate(chain)}
+            links = []
+            for a, b in zip(chain, chain[1:]):
+                kept = self.kept[a + b]
+                rows = np.zeros((len(kept), widths[-1]))
+                rows[:, cols[a]], rows[:, cols[b]] = -norm[a][kept], norm[b][kept]
+                links.append(rows)
+            self.blocks[chain] = np.vstack(links)
+        for arr in (*norm.values(), *self.kept.values(), *self.blocks.values()):
             arr.setflags(write=False)
         self.starts = {}
 
@@ -324,8 +321,8 @@ class _LpSystem:
                 for i in range(chain.index(objective), chain.index(normalization), -1)]
         if not walk:
             return (np.zeros((len(self.normalized[objective]), 0), dtype=int),) * 2
-        outputs = [self.ratio_rows[ab][:, self.columns[ab[1]]] for ab in walk]
-        inputs = [-self.ratio_rows[ab][:, self.columns[ab[0]]] for ab in walk]
+        outputs = [self.normalized[ab[1]][self.kept[ab]] for ab in walk]
+        inputs = [self.normalized[ab[0]][self.kept[ab]] for ab in walk]
         # lambda_i / lambda_j of row i of a link and row j of the one before
         relays = [(r.max(axis=2), r.argmax(axis=2))
                   for r in (a[None] / b[:, None] for a, b in zip(inputs, outputs[1:]))]
@@ -347,7 +344,7 @@ class _LpSystem:
         rows += [slots[ab[0]].start + at[peers[:, t + 1], peers[:, t]]
                  for t, (ab, (_, at)) in enumerate(zip(walk, relays))]
         rows.append(slots[normalization].start + (inputs[-1][peers[:, -1]] / norm).argmax(axis=1))
-        offsets = [sum(len(self.ratio_rows[chain[i:i + 2]]) for i in range(chain.index(ab[0])))
+        offsets = [sum(len(self.kept[chain[i:i + 2]]) for i in range(chain.index(ab[0])))
                    for ab in walk]
         return np.column_stack(rows), peers + offsets
 

@@ -69,6 +69,15 @@ class TestParse:
         err = excinfo.value
         assert (err.row, err.column, err.role) == (3, 4, "intermediate")
 
+    @pytest.mark.parametrize("cell", ["1_5", " 1_000.5 ", "2e1_0"])
+    def test_digit_separators_are_non_numeric(self, cell):
+        # float() accepts PEP 515 separators, which no data file means.
+        text = f"id,name,x1,z1,y1\nA,Alpha,3,2,6\nB,Beta,4,{cell},1\n"
+        with pytest.raises(ParseError, match="non-numeric value") as excinfo:
+            parse_dataset(text)
+        err = excinfo.value
+        assert (err.row, err.column, err.role) == (3, 4, "intermediate")
+
     @pytest.mark.parametrize("text,row", [
         ('id,name,x1,z1,y1\nA,"Alpha\nInstitute",3,2,6\nB,Beta,4,x,1\n', 4),
         ('id,name,x1,z1,y1\nA,"Alpha\nInstitute",3,x,6\nB,Beta,4,5,1\n', 2),

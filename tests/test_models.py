@@ -641,12 +641,15 @@ def test_one_linear_program_per_solve(monkeypatch, make_random_dataset):
     assert [id(problem) for problem in built] == [id(problem) for problem in solved]
 
 
-def stacked_lp_builder(system, k, chain, scored, epsilon, pinned_overall=None):
+def stacked_lp_builder(data, k, chain, scored, epsilon, pinned_overall=None):
     """_LpSystem.lp as it was before the per-chain blocks: the equality rows
     and every link's ratio rows stacked over all of [u | w | v] for each
-    LP, then restricted to the chain's columns. The tests require bit-equal
-    LPs."""
-    norm, cols = system.normalized, system.columns
+    LP, then restricted to the chain's columns. The rows come from the
+    reference normalization at the DMU indices _LpSystem keeps. The tests
+    require bit-equal LPs."""
+    norm = dict(zip("uwv", reference_normalized_matrices(data)))
+    edges = np.cumsum([0] + [norm[slot].shape[1] for slot in "uwv"])
+    cols = {slot: slice(*edges[i:i + 2]) for i, slot in enumerate("uwv")}
     normalization, objective = scored
     top = np.zeros((2 if pinned_overall is None else 3, cols["v"].stop))
     top[0, cols[objective]] = norm[objective][k]
@@ -655,7 +658,12 @@ def stacked_lp_builder(system, k, chain, scored, epsilon, pinned_overall=None):
         top[2, cols["u"]] = -pinned_overall * norm["u"][k]
         top[2, cols["v"]] = norm["v"][k]
     eqs = len(top) - 1
-    links = [system.ratio_rows[a + b] for a, b in zip(chain, chain[1:])]
+    links = []
+    for a, b in zip(chain, chain[1:]):
+        kept = data._lp_system.kept[a + b]
+        rows = np.zeros((len(kept), edges[-1]))
+        rows[:, cols[a]], rows[:, cols[b]] = -norm[a][kept], norm[b][kept]
+        links.append(rows)
     used = np.r_[tuple(cols[slot] for slot in chain)]
     matrix = np.vstack([top[1:], *links])[:, used]
     return (top[0, used], matrix, (EQUAL,) * eqs + (LESS_EQUAL,) * (len(matrix) - eqs),
@@ -697,7 +705,7 @@ class TestStackedBuilderReference:
                         for k in range(data.n):
                             overall = None if pin is None else float(pins[k])
                             lp = system.lp(k, chain, scored, epsilon, overall)
-                            stacked = stacked_lp_builder(system, k, chain, scored, epsilon,
+                            stacked = stacked_lp_builder(data, k, chain, scored, epsilon,
                                                          overall)
                             _assert_same_lp(lp, stacked)
                             dual = system.envelopment_lp(k, chain, scored, epsilon, overall)
@@ -713,7 +721,7 @@ class TestStackedBuilderReference:
     def test_n100(self, make_random_dataset):
         # Past ENVELOPMENT_MIN_DMUS, so each link keeps only some rows.
         data = make_random_dataset(np.random.default_rng(19), 100, 3, 2, 2)
-        assert max(len(rows) for rows in data._lp_system.ratio_rows.values()) < 100
+        assert max(len(rows) for rows in data._lp_system.kept.values()) < 100
         self._check(data)
 
 
@@ -786,7 +794,7 @@ class TestEnvelopmentForm:
         solve_stage_independent(data, 0, StagePriority.SECOND_STAGE)
         solve_stage_priority(data, 0)
         (ccr, _), (stage, _), (overall, _), (pinned, _) = solved
-        kept = {link: len(rows) for link, rows in data._lp_system.ratio_rows.items()}
+        kept = {link: len(rows) for link, rows in data._lp_system.kept.items()}
         if n < 40:
             assert kept == {"uv": n, "uw": n, "wv": n}
         else:
@@ -989,20 +997,22 @@ class TestEnvelopmentForm:
         assert ccr.overall == solve_lp(system.lp(5, "uv", "uv", 1e-6)).objective_value
 
 
-def brute_force_start(system, k, chain, scored):
+def brute_force_start(data, k, chain, scored):
     """The least y over every choice of one kept ratio row per link, walked
     from scored's objective slot back to its normalization slot one row at
     a time: each row j takes lambda = max(d / b_j) and passes lambda a_j on,
-    and y = max(d / x_k) at the normalization slot."""
+    and y = max(d / x_k) at the normalization slot. The rows are the
+    reference normalization's at the DMU indices _LpSystem keeps."""
+    norm = dict(zip("uwv", reference_normalized_matrices(data)))
     normalization, objective = scored
     slots = chain[chain.index(normalization):chain.index(objective) + 1]
     links = [a + b for a, b in zip(slots, slots[1:])][::-1]
     best = np.inf
-    for peers in itertools.product(*(system.ratio_rows[ab] for ab in links)):
-        demand = system.normalized[objective][k]
-        for ab, row in zip(links, peers):
-            demand = max(demand / row[system.columns[ab[1]]]) * -row[system.columns[ab[0]]]
-        best = min(best, max(demand / system.normalized[normalization][k]))
+    for peers in itertools.product(*(data._lp_system.kept[ab] for ab in links)):
+        demand = norm[objective][k]
+        for ab, j in zip(links, peers):
+            demand = max(demand / norm[ab[1]][j]) * norm[ab[0]][j]
+        best = min(best, max(demand / norm[normalization][k]))
     return best
 
 
@@ -1026,7 +1036,7 @@ class TestStartVertex:
         for chain, scored in (("uv", "uv"), ("uw", "uw"), ("wv", "wv"),
                               ("uwv", "uv"), ("uwv", "uw"), ("uwv", "wv")):
             for k in range(data.n):
-                want = brute_force_start(system, k, chain, scored)
+                want = brute_force_start(data, k, chain, scored)
                 for pin in (None, 0.5) if scored != "uv" and chain == "uwv" else (None,):
                     dual = system.envelopment_lp(k, chain, scored, 1e-6, pin)
                     rows, cols = map(list, zip(*dual.start))
@@ -1082,7 +1092,36 @@ class TestImpliedRows:
         # Half the DMUs of this set share the stage-2 frontier, equal up to
         # rounding: one stage-2 row is kept.
         data = half_on_frontier_dataset(np.random.default_rng(16), 40)
-        assert len(data._lp_system.ratio_rows["wv"]) == 1
+        assert len(data._lp_system.kept["wv"]) == 1
+
+    @pytest.mark.parametrize("case", ["bundled", (3, 2, 2), (5, 3, 3), "half-on-frontier"],
+                             ids=["bundled", "dispersed-322", "dispersed-533", "half-on-frontier"])
+    def test_kept_rows_name_their_dmus(self, table1, case):
+        # Row i of link ab's part of every chain's block is the ratio row of
+        # DMU kept[ab][i], computed here from the dataset: a peer read off a
+        # dual's lambda is that DMU. The n = 100 sets are perfbench's.
+        if case == "bundled":
+            data = table1
+        else:
+            generate, rng = _perfbench_generate(), np.random.default_rng(0)
+            X, Z, Y = (generate.half_on_frontier(rng, 100) if case == "half-on-frontier"
+                       else generate.dispersed(rng, 100, *case))
+            ids = tuple(f"D{j + 1}" for j in range(len(X)))
+            data = Dataset(ids, ids, X, Z, Y)
+        system, norm = data._lp_system, dict(zip("uwv", reference_normalized_matrices(data)))
+        for a, b in ("uv", "uw", "wv"):
+            want = (models._undominated(norm[a], norm[b]) if data.n >= 40
+                    else np.arange(data.n))
+            assert system.kept[a + b].tolist() == want.tolist()
+        for chain in ("uv", "uw", "wv", "uwv"):
+            rows = []
+            for a, b in zip(chain, chain[1:]):
+                for j in system.kept[a + b]:
+                    rows.append(np.concatenate([
+                        -norm[a][j] if slot == a else norm[b][j] if slot == b
+                        else np.zeros(norm[slot].shape[1]) for slot in chain]))
+            block, want = system.blocks[chain], np.array(rows)
+            assert block.shape == want.shape and block.tobytes() == want.tobytes()
 
     def test_matches_the_pairwise_loop(self):
         # Any shape, entries over 18 decades, and planted rows that are
@@ -1138,7 +1177,7 @@ def test_lp_system_built_once_and_read_only():
     solve_stage_priority(data, 2)
     assert data._lp_system is system
     assert all(system.blocks[chain] is block for chain, block in blocks.items())
-    for arr in (*system.normalized.values(), *system.ratio_rows.values(),
+    for arr in (*system.normalized.values(), *system.kept.values(),
                 *system.blocks.values()):
         with pytest.raises(ValueError, match="read-only"):
-            arr[0, 0] = 1.0
+            arr[(0,) * arr.ndim] = 1

@@ -3,10 +3,13 @@ bundled line holds the x and row prices of every LP of the 13-DMU set,
 solved in multiplier form with all its ratio rows, where the other
 goldens hold only scores and reports. Only the n = 100 lines catch a
 last-bit change from n = 40 up, where the rows are filtered and every LP
-is solved in envelopment form. Their 600 solves are 3 per DMU under each
-priority: no dual is solved again in multiplier form. One simplex run per
-n = 100 solve: every dual takes its start and skips phase 1, where the
-bundled set's multiplier LPs run it."""
+is solved in envelopment form. The 600 solves of sparse-n100 and
+dense-n100 are 3 per DMU under each priority: no dual is solved again in
+multiplier form, and each takes one simplex run, since every dual takes
+its start and skips phase 1, where the bundled set's multiplier LPs run
+it. wide-n100, a 5/3/3 set, walks two links to start its duals and keeps
+many more rows; its 601st solve is D80's SECOND_STAGE pinned LP, solved
+again in multiplier form after its dual ends in numerical_failure."""
 
 import importlib.util
 from pathlib import Path
@@ -23,13 +26,15 @@ PINNED = {
                    "76032884e0114d83fda8bc2441934b020cb956b350afc1ceeee3a77b1a14652b",
     "dense-n100": "solves 600, pivots 3505, "
                   "88e07cc41bcde428bfdb2f377f1ec5b26238156860b2886c562e1bdea4973f96",
+    "wide-n100": "solves 601, pivots 27364, "
+                 "1ca7c1bfd05f6c7cbe8e0e39a782b0929fb45906d414a9f76afc7658f1e17262",
 }
 
 
 def test_pinned_groups_keep_their_digests(monkeypatch):
     """Every solve's status, pivots and bits and every report byte of the
-    bundled set and sparse-n100 and dense-n100 seed 1 under both
-    priorities. A change that moves the pivot path updates these values
+    bundled set, sparse-n100 and dense-n100 seed 1 and wide-n100 under
+    both priorities. A change that moves the pivot path updates these values
     under the ROADMAP golden policy and says so in CHANGES.md."""
     spec = importlib.util.spec_from_file_location("solve_digest", SCRIPT)
     digest = importlib.util.module_from_spec(spec)
@@ -43,4 +48,6 @@ def test_pinned_groups_keep_their_digests(monkeypatch):
     assert out.failures == 0
     for group in ("sparse-n100", "dense-n100"):
         assert runs.count(out.groups[group]) == out.groups[group].solves
+    # D80's failed dual, then its multiplier LP's phase 1 and phase 2
+    assert runs.count(out.groups["wide-n100"]) == out.groups["wide-n100"].solves + 1
     assert {group: tally.line() for group, tally in out.groups.items()} == PINNED

@@ -12,10 +12,10 @@ commit's checkout and once without, and compare.
 
 Besides the total, each input group below gets its own digest, solve and
 pivot count (the random LPs; the bundled set; ``sparse-n100``;
-``dense-n100``; the ``batch-small`` sets), so a change meant to reach
-only some groups can show that the others kept every byte.
-``tests/test_solve_digest.py`` pins the bundled, ``sparse-n100`` and
-``dense-n100`` lines through ``digest_library``.
+``dense-n100``; ``wide-n100``; the ``batch-small`` sets), so a change
+meant to reach only some groups can show that the others kept every byte.
+``tests/test_solve_digest.py`` pins the bundled, ``sparse-n100``,
+``dense-n100`` and ``wide-n100`` lines through ``digest_library``.
 
 netdea is imported from ``CHECKOUT/src`` (default: the checkout this script
 lives in). The inputs always come from this script's own checkout, and
@@ -24,10 +24,11 @@ lives in). The inputs always come from this script's own checkout, and
 * seeded random LPs of all three senses, solved with ``solve_lp``;
 * ``run_full_analysis`` under both stage priorities, every LP it solves,
   and its report in table, csv and json, on the bundled set,
-  ``sparse-n100`` and ``dense-n100`` seed 1, and all 100 ``batch-small``
-  seed-1 sets. A run that raises contributes the failing DMU's id and the
-  type and message of the error it wraps, which do not depend on how
-  ``DmuSolveError`` words its own message.
+  ``sparse-n100`` and ``dense-n100`` seed 1, ``wide-n100`` (the 5/3/3 set
+  ``generate.dispersed(np.random.default_rng(0), 100, 5, 3, 3)``), and all
+  100 ``batch-small`` seed-1 sets. A run that raises contributes the
+  failing DMU's id and the type and message of the error it wraps, which
+  do not depend on how ``DmuSolveError`` words its own message.
 """
 
 from __future__ import annotations
@@ -114,6 +115,8 @@ def library_inputs(nd):
     yield "bundled", "bundled", Path(nd.bundled_dataset_path()).read_text(encoding="utf-8")
     for workload in ("sparse-n100", "dense-n100"):
         yield workload, workload, generate.library_cases(workload, LIBRARY_SEED)[0].csv_text
+    wide = generate.dispersed(np.random.default_rng(0), 100, 5, 3, 3)
+    yield "wide-n100", "wide-n100", generate.to_csv(*wide)
     for i, case in enumerate(generate.library_cases("batch-small", LIBRARY_SEED)):
         yield "batch-small", f"batch-small set {i}", case.csv_text
 

@@ -3,10 +3,10 @@
 Scores from the DEA models are turned into dense rankings (rank 1 is the
 best score; values within RANK_TIE_TOL share a rank; the next distinct
 value takes the next integer, so a three-way tie at the top is followed by
-rank 2, not rank 4). An AnalysisReport stores the DMU ids once and four
-ranked columns in that order: the relational overall, stage-1 and stage-2
-scores and the CCR score. Two tie-free rankings are compared with
-Spearman's rank correlation in its classic difference form,
+rank 2, not rank 4). An AnalysisReport stores the DMU ids once and the
+ranked columns SECTIONS names, in that order: the relational overall,
+stage-1 and stage-2 scores and the CCR score. Two tie-free rankings are
+compared with Spearman's rank correlation in its classic difference form,
 
     rho = 1 - 6 * sum(d_j^2) / (n * (n^2 - 1)),   d = ranks_a - ranks_b,
 
@@ -16,7 +16,7 @@ silently switching to the Pearson-on-ranks variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,26 +35,21 @@ SCORE_DECIMALS = 4
 #: decimal, so ranks agree with the printed table.
 RANK_TIE_TOL = 0.5 * 10.0**-SCORE_DECIMALS
 
-#: The ranked columns of an AnalysisReport, in display order.
-_COLUMNS = ("overall", "stage1", "stage2", "ccr")
+#: Report section -> its ranked columns, the AnalysisReport fields, in
+#: display order.
+SECTIONS = {"relational": ("overall", "stage1", "stage2"), "ccr": ("ccr",)}
 
 
 @dataclass(frozen=True, eq=False)
 class RankTable:
-    """One score column with its dense ranks, in the report's DMU order."""
+    """One score column and its dense_rank ranks, in the report's DMU order."""
 
     scores: np.ndarray
-    ranks: np.ndarray
+    ranks: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        ranks = _as_rank_vector("ranks", self.ranks)
         scores = np.array(self.scores, dtype=float)
-        if scores.shape != ranks.shape:
-            raise LengthMismatchError(
-                f"scores shape {scores.shape} differs from ranks shape {ranks.shape}"
-            )
-        if ranks.size and ranks.min() < 1:
-            raise ValidationError("ranks must be positive integers")
+        ranks = dense_rank(scores)
         scores.setflags(write=False)
         ranks.setflags(write=False)
         object.__setattr__(self, "scores", scores)
@@ -63,10 +58,10 @@ class RankTable:
 
 @dataclass(frozen=True, eq=False)
 class AnalysisReport:
-    """Everything a rendered comparison needs: the DMU ids, the relational
-    overall, stage-1 and stage-2 columns and the CCR column in that order,
-    rho between the overall and CCR rank columns (None when either ranking
-    has ties), and the config the scores were produced under."""
+    """Everything a rendered comparison needs: the DMU ids, the columns of
+    SECTIONS, rho between the overall and CCR rank columns (None when
+    either ranking has ties), and the config the scores were produced
+    under."""
 
     dmu_ids: tuple
     overall: RankTable
@@ -78,7 +73,7 @@ class AnalysisReport:
 
     def __post_init__(self):
         ids = tuple(self.dmu_ids)
-        for name in _COLUMNS:
+        for name in sum(SECTIONS.values(), ()):
             size = getattr(self, name).scores.size
             if size != len(ids):
                 raise LengthMismatchError(
@@ -158,10 +153,10 @@ def spearman_rank_correlation(ranks_a, ranks_b) -> float:
     return 1.0 - 6.0 * float(d @ d) / (n * (n * n - 1))
 
 
-def _score_of(record: EfficiencyRecord, field: str) -> float:
-    value = getattr(record, field)
+def _score_of(record: EfficiencyRecord, name: str) -> float:
+    value = getattr(record, name)
     if value is None:
-        raise ValidationError(f"DMU {record.dmu_id} record has no {field} score")
+        raise ValidationError(f"DMU {record.dmu_id} record has no {name} score")
     return float(value)
 
 
@@ -177,10 +172,10 @@ def build_report(relational, ccr, cfg: SolverConfig | None = None) -> AnalysisRe
 
     Both record lists must cover the same DMU ids (any order), at least 2
     of them, as a Dataset does; the relational list fixes the row order and
-    the CCR records are aligned to it. Each score column is ranked with
-    dense_rank. rho compares the overall rank column against the CCR rank
-    column and is stored as None when either column contains ties, since
-    the difference form does not apply then.
+    the CCR records are aligned to it. Each score column is a RankTable.
+    rho compares the overall rank column against the CCR rank column and
+    is stored as None when either column contains ties, since the
+    difference form does not apply then.
     """
     cfg = cfg or SolverConfig()
     rel_ids = _unique_ids(relational, "relational")
@@ -193,13 +188,10 @@ def build_report(relational, ccr, cfg: SolverConfig | None = None) -> AnalysisRe
             f"relational and CCR records cover different DMU sets "
             f"(mismatched: {sorted(missing)})"
         )
+    columns = {name: RankTable([_score_of(r, name) for r in relational])
+               for name in SECTIONS["relational"]}
     ccr_by_id = {r.dmu_id: r for r in ccr}
-    ccr_aligned = [ccr_by_id[i] for i in rel_ids]
-    columns = {}
-    for name in _COLUMNS:
-        records, field = (ccr_aligned, "overall") if name == "ccr" else (relational, name)
-        scores = np.array([_score_of(r, field) for r in records])
-        columns[name] = RankTable(scores, dense_rank(scores))
+    columns["ccr"] = RankTable([_score_of(ccr_by_id[i], "overall") for i in rel_ids])
 
     try:
         rho = spearman_rank_correlation(columns["overall"].ranks, columns["ccr"].ranks)

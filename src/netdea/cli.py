@@ -27,7 +27,7 @@ import argparse
 import os
 import sys
 
-from .analysis import build_report
+from .analysis import SECTIONS, build_report
 from .dataset_io import REPORT_FORMATS, load_dataset, render_report
 from .errors import DatasetFormatError, NetdeaError
 from .models import SolverConfig, StagePriority, run_full_analysis
@@ -36,12 +36,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_SOLVER = 4
-
-_SECTIONS_BY_MODEL = {
-    "both": ("relational", "ccr"),
-    "relational": ("relational",),
-    "ccr": ("ccr",),
-}
 
 
 def _epsilon_value(text: str) -> float:
@@ -60,7 +54,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, with_model: bool):
     parser.add_argument("--data", required=True, metavar="PATH",
                         help="dataset file (csv with id,name,x*,z*,y* header)")
     if with_model:
-        parser.add_argument("--model", choices=sorted(_SECTIONS_BY_MODEL),
+        parser.add_argument("--model", choices=sorted(["both", *SECTIONS]),
                             default="both", help="model family to report")
     parser.add_argument("--stage-priority", choices=[p.value for p in StagePriority],
                         default="second", dest="stage_priority",
@@ -126,7 +120,7 @@ def _run(args) -> int:
     relational, ccr = run_full_analysis(data, cfg)
     report = build_report(relational, ccr, cfg)
     text = render_report(report, args.output_format,
-                         sections=_SECTIONS_BY_MODEL[args.model],
+                         sections=SECTIONS if args.model == "both" else [args.model],
                          include_rho=args.subcommand == "compare",
                          ranks_only=args.subcommand == "rank")
     if not args.output_path:

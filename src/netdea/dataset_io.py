@@ -19,9 +19,8 @@ import json
 import math
 import re
 from importlib import resources
-from typing import NamedTuple
 
-from .analysis import SCORE_DECIMALS, AnalysisReport, RankTable
+from .analysis import SCORE_DECIMALS, SECTIONS, AnalysisReport
 from .errors import ParseError, SchemaError, ValidationError
 from .lp_core import FEASIBILITY_TOL, MAX_ITERATIONS, OPTIMALITY_TOL, PIVOT_TOL
 from .models import Dataset, SolverConfig
@@ -93,15 +92,17 @@ def _parse_cell(raw: str, line: int, index: int, label: str, role: str) -> float
 def parse_dataset(text: str) -> Dataset:
     """Parse comma-separated text (header first) into a Dataset.
 
-    Roles come from the header. Raises ParseError for malformed cells,
-    ValidationError for values <= 0 (both with 1-based row/column
-    coordinates), and SchemaError for structural problems such as an
-    unknown or repeated header, a missing role class or duplicate DMU ids.
+    Roles come from the header; empty and whitespace-only lines are
+    skipped, and errors keep the text's line numbers. Raises ParseError for
+    malformed cells, ValidationError for values <= 0 (both with 1-based
+    row/column coordinates), and SchemaError for structural problems such
+    as an unknown or repeated header, a missing role class or duplicate DMU
+    ids.
     """
     reader = csv.reader(io.StringIO(text))
     rows, lines_read = [], 0
     for row in reader:  # a quoted newline spans lines: keep the first
-        if row:
+        if len(row) > 1 or row and row[0].strip():
             rows.append((lines_read + 1, row))
         lines_read = reader.line_num
     if not rows:
@@ -160,24 +161,8 @@ def bundled_dataset_path() -> str:
     return str(resources.files("netdea").joinpath(f"data/{BUNDLED_DATASET_NAME}"))
 
 
-#: The formats render_report accepts.
-REPORT_FORMATS = ("table", "csv", "json")
-
-_SECTIONS = ("relational", "ccr")
-
-#: Placeholder rho for reports that print no rho line at all.
-_NO_RHO = object()
-
-
-class _Column(NamedTuple):
-    """One ranked score column of a report and its name in each format;
-    csv_keys and json_keys are (score key, rank key)."""
-
-    section: str
-    title: str
-    csv_keys: tuple
-    json_keys: tuple
-    table: RankTable
+#: Table title of each report column.
+_TITLES = {"overall": "Overall", "stage1": "Stage 1", "stage2": "Stage 2", "ccr": "CCR"}
 
 
 def _display_score(value: float) -> str:
@@ -191,50 +176,42 @@ def _normalize_sections(sections) -> tuple:
     if isinstance(sections, str):
         raise ValueError(f"sections must be a sequence of names, not the string {sections!r}")
     sections = tuple(sections)
-    unknown = set(sections) - set(_SECTIONS)
+    unknown = set(sections) - set(SECTIONS)
     if unknown:
         raise ValueError(f"unknown report sections: {sorted(unknown)}")
-    picked = tuple(s for s in _SECTIONS if s in sections)
+    picked = tuple(s for s in SECTIONS if s in sections)
     if not picked:
-        raise ValueError(f"sections must include at least one of {_SECTIONS}")
+        raise ValueError(f"sections must include at least one of {tuple(SECTIONS)}")
     return picked
 
 
-def _report_columns(report: AnalysisReport, sections) -> list:
-    columns = []
-    if "relational" in sections:
-        for title, key in (("Overall", "overall"), ("Stage 1", "stage1"),
-                           ("Stage 2", "stage2")):
-            keys = (key, f"rank_{key}")
-            columns.append(_Column("relational", title, keys, keys, getattr(report, key)))
-    if "ccr" in sections:
-        csv_keys = ("ccr_score", "ccr_rank") if len(sections) > 1 else ("score", "rank")
-        columns.append(_Column("ccr", "CCR", csv_keys, ("score", "rank"), report.ccr))
-    return columns
-
-
-def _fields(columns, ranks_only: bool, json_keys: bool) -> dict:
-    # Section -> [(key, values)]: csv and json list each section's score
-    # fields before its rank fields.
+def _fields(report: AnalysisReport, sections, ranks_only: bool, ccr_prefix: str = "") -> dict:
+    """Section -> [(key, values)], each section's score fields before its
+    rank fields. A relational column keys its scores by its name and its
+    ranks by rank_<name>; CCR's are ccr_prefix + score and + rank."""
     fields = {}
-    for column in columns:
-        score_key, rank_key = column.json_keys if json_keys else column.csv_keys
-        scores, ranks = fields.setdefault(column.section, ([], []))
-        if not ranks_only:
-            scores.append((score_key, column.table.scores.tolist()))
-        ranks.append((rank_key, column.table.ranks.tolist()))
-    return {section: scores + ranks for section, (scores, ranks) in fields.items()}
+    for section in sections:
+        scores, ranks = [], []
+        for name in SECTIONS[section]:
+            table = getattr(report, name)
+            score_key, rank_key = ((f"{ccr_prefix}score", f"{ccr_prefix}rank")
+                                   if name == "ccr" else (name, f"rank_{name}"))
+            if not ranks_only:
+                scores.append((score_key, table.scores.tolist()))
+            ranks.append((rank_key, table.ranks.tolist()))
+        fields[section] = scores + ranks
+    return fields
 
 
-def _render_table(ids, columns, rho, ranks_only: bool) -> str:
-    body = [("DMU", ids)]
-    for column in columns:
-        table = column.table
+def _render_table(report: AnalysisReport, sections, with_rho: bool, ranks_only: bool) -> str:
+    body = [("DMU", report.dmu_ids)]
+    for name in (name for section in sections for name in SECTIONS[section]):
+        table = getattr(report, name)
         if ranks_only:
-            body.append((f"{column.title} rank", [str(r) for r in table.ranks]))
+            body.append((f"{_TITLES[name]} rank", [str(r) for r in table.ranks]))
         else:
-            body.append((column.title, [f"{_display_score(s)}({r})"
-                                        for s, r in zip(table.scores, table.ranks)]))
+            body.append((_TITLES[name], [f"{_display_score(s)}({r})"
+                                         for s, r in zip(table.scores, table.ranks)]))
 
     grid = [[title for title, _ in body], *zip(*(cells for _, cells in body))]
     widths = [max(len(cell) for cell in column) for column in zip(*grid)]
@@ -242,23 +219,25 @@ def _render_table(ids, columns, rho, ranks_only: bool) -> str:
                        for i, (cell, w) in enumerate(zip(row, widths))).rstrip()
              for row in grid]
     lines.insert(1, "-" * len(lines[0]))
-    if rho is not _NO_RHO:
+    if with_rho:
+        rho = report.spearman_rho
         shown = "not defined (tied ranks)" if rho is None else f"{rho:.5f}"
         lines.append("")
         lines.append(f"Spearman rank correlation (overall vs CCR): rho = {shown}")
     return "\n".join(lines) + "\n"
 
 
-def _render_csv(ids, columns, rho, ranks_only: bool) -> str:
-    by_section = _fields(columns, ranks_only, json_keys=False)
+def _render_csv(report: AnalysisReport, sections, with_rho: bool, ranks_only: bool) -> str:
+    by_section = _fields(report, sections, ranks_only, "ccr_" if len(sections) > 1 else "")
     fields = [field for section in by_section.values() for field in section]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["id"] + [key for key, _ in fields])
     # csv writes floats with repr, so scores keep full precision.
-    for row, dmu_id in enumerate(ids):
+    for row, dmu_id in enumerate(report.dmu_ids):
         writer.writerow([dmu_id] + [values[row] for _, values in fields])
-    if rho is not _NO_RHO:
+    if with_rho:
+        rho = report.spearman_rho
         writer.writerow(["spearman_rho", "" if rho is None else rho])
     return out.getvalue()
 
@@ -278,39 +257,39 @@ def _config_payload(cfg: SolverConfig) -> dict:
     }
 
 
-def _render_json(ids, columns, rho, ranks_only: bool, cfg: SolverConfig) -> str:
-    payload = {"config": _config_payload(cfg)}
-    for section, fields in _fields(columns, ranks_only, json_keys=True).items():
+def _render_json(report: AnalysisReport, sections, with_rho: bool, ranks_only: bool) -> str:
+    payload = {"config": _config_payload(report.config_echo)}
+    for section, fields in _fields(report, sections, ranks_only).items():
         payload[section] = [
             {"id": dmu_id, **{key: values[row] for key, values in fields}}
-            for row, dmu_id in enumerate(ids)
+            for row, dmu_id in enumerate(report.dmu_ids)
         ]
-    if rho is not _NO_RHO:
-        payload["spearman_rho"] = rho
+    if with_rho:
+        payload["spearman_rho"] = report.spearman_rho
     return json.dumps(payload, indent=2) + "\n"
 
 
+_RENDERERS = {"table": _render_table, "csv": _render_csv, "json": _render_json}
+
+#: The formats render_report accepts.
+REPORT_FORMATS = tuple(_RENDERERS)
+
+
 def render_report(report: AnalysisReport, fmt: str = "table",
-                  sections=("relational", "ccr"), include_rho: bool = True,
+                  sections=tuple(SECTIONS), include_rho: bool = True,
                   ranks_only: bool = False) -> str:
     """Serialize an AnalysisReport.
 
     fmt, one of REPORT_FORMATS, picks the output shape: ``table`` rounds
     scores to SCORE_DECIMALS and appends the rank in parentheses; ``csv``
     and ``json`` carry full-precision scores and integer rank fields, json
-    additionally embedding the solver config. sections restricts output to the
-    relational or CCR side; rho is emitted, in every format, only when both
-    are present and include_rho is set. ranks_only drops score values,
-    keeping the rank columns.
+    additionally embedding the solver config. sections, keys of
+    analysis.SECTIONS, restricts output to the relational or CCR side; rho
+    is emitted, in every format, only when both are present and include_rho
+    is set. ranks_only drops score values, keeping the rank columns.
     """
     if fmt not in REPORT_FORMATS:
         raise ValueError(f"unknown report format {fmt!r}; expected one of "
                          f"{list(REPORT_FORMATS)}")
     sections = _normalize_sections(sections)
-    columns = _report_columns(report, sections)
-    rho = report.spearman_rho if include_rho and len(sections) > 1 else _NO_RHO
-    if fmt == "table":
-        return _render_table(report.dmu_ids, columns, rho, ranks_only)
-    if fmt == "csv":
-        return _render_csv(report.dmu_ids, columns, rho, ranks_only)
-    return _render_json(report.dmu_ids, columns, rho, ranks_only, report.config_echo)
+    return _RENDERERS[fmt](report, sections, include_rho and len(sections) > 1, ranks_only)

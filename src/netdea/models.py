@@ -176,8 +176,12 @@ class SolverConfig:
     stage_priority: StagePriority = StagePriority.SECOND_STAGE
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise ConfigurationError(f"epsilon must be in (0, 1), got {self.epsilon}")
+        try:
+            in_range = 0.0 < self.epsilon < 1.0
+        except TypeError:
+            in_range = False
+        if not in_range:
+            raise ConfigurationError(f"epsilon must be in (0, 1), got {self.epsilon!r}")
         try:
             priority = StagePriority(self.stage_priority)
         except ValueError:
@@ -333,8 +337,10 @@ class _LpSystem:
             block = slice(lo, lo + step)
             cost, backs = (demand[block, None] / outputs[0]).max(axis=2), []
             for factor, _ in relays:  # the cheapest path to each row of the next link
-                backs.append((cost[:, None] * factor).argmin(axis=2))  # last axis: no copy
-                cost = (cost[:, None] * factor).min(axis=2)
+                paths = cost[:, None] * factor  # formed once, freed before the next
+                backs.append(paths.argmin(axis=2))  # last axis: no copy
+                cost = paths.min(axis=2)
+                del paths
             cost *= (inputs[-1] / norm[block, None]).max(axis=2)
             peers[block, -1] = cost.argmin(axis=1)
             for t in reversed(range(len(relays))):

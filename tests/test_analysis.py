@@ -141,33 +141,31 @@ class TestSpearman:
 
 
 class TestRankTable:
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            RankTable([0.5], [1, 2])
+    @pytest.mark.parametrize("scores", [[0.5, 0.4, 0.9], [1.0, 0.7, 1.0, 0.7],
+                                        [0.3, 0.3 - RANK_TIE_TOL / 2, 0.1], []])
+    def test_ranks_are_dense_rank_of_scores(self, scores):
+        assert RankTable(scores).ranks.tolist() == dense_rank(scores).tolist()
 
-    def test_nonpositive_rank(self):
-        with pytest.raises(ValidationError):
-            RankTable([0.5, 0.4], [0, 1])
-
-    @pytest.mark.parametrize("ranks", [[1.7, 2.2], [1, np.nan], [1, 1e300]])
-    def test_non_integer_rank_rejected(self, ranks):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="integer"):
-                RankTable([0.5, 0.4], ranks)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            RankTable([0.5, bad])
 
     def test_scores_must_match_rank_shape(self):
-        with pytest.raises(LengthMismatchError, match="shape"):
-            RankTable([[0.5], [0.4]], [1, 2])
+        # ranks are one per DMU, so scores must be 1-d
         with pytest.raises(ValueError, match="1-d"):
-            RankTable([[0.5, 0.4]], [[1, 2]])
+            RankTable([[0.5], [0.4]])
+        with pytest.raises(ValueError, match="1-d"):
+            RankTable([[0.5, 0.4]])
 
     def test_stores_read_only_copies(self):
         scores = np.array([0.5, 0.4])
-        table = RankTable(scores, [1, 2])
+        table = RankTable(scores)
         scores[0] = 0.1
         assert table.scores.tolist() == [0.5, 0.4]
         assert table.ranks.tolist() == [1, 2]
+        with pytest.raises(ValueError):
+            table.scores[0] = 0.3
         with pytest.raises(ValueError):
             table.ranks[0] = 3
 
@@ -255,8 +253,8 @@ class TestBuildReport:
             build_report(relational, ccr)
 
     def test_report_invariants(self):
-        table = RankTable([0.9, 0.5], [1, 2])
-        short = RankTable([0.9], [1])
+        table = RankTable([0.9, 0.5])
+        short = RankTable([0.9])
         columns = dict(overall=table, stage1=table, stage2=table, ccr=table)
         for name in columns:
             with pytest.raises(LengthMismatchError, match=f"^{name} column has 1 rows"):

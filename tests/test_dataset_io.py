@@ -112,6 +112,18 @@ class TestParse:
         with pytest.raises(ParseError, match="empty DMU id"):
             parse_dataset("id,name,x1,z1,y1\nA,a,1,1,1\n ,b,2,2,2\n")
 
+    @pytest.mark.parametrize("blank", ["  ", "\t"], ids=["spaces", "tab"])
+    @pytest.mark.parametrize("at", [0, 2, 3], ids=["leading", "middle", "trailing"])
+    def test_whitespace_only_lines_are_skipped(self, blank, at):
+        lines = MINIMAL.splitlines()
+        lines.insert(at, blank)
+        text = "\n".join(lines) + "\n"
+        data = parse_dataset(text)
+        assert data.dmu_ids == ("A", "B") and data.X[:, 0].tolist() == [3.0, 4.0]
+        with pytest.raises(ParseError) as excinfo:  # later rows keep their lines
+            parse_dataset(text + "C,Gamma,5,x,1\n")
+        assert excinfo.value.row == 5
+
     def test_ragged_row(self):
         with pytest.raises(ParseError) as excinfo:
             parse_dataset("id,name,x1,z1,y1\nA,a,1,1,1\nB,b,2,2\n")

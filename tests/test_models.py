@@ -111,6 +111,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             SolverConfig(epsilon=1.0)
 
+    @pytest.mark.parametrize("epsilon", ["1e-6", None])
+    def test_non_numeric_epsilon(self, epsilon):
+        with pytest.raises(ConfigurationError, match=f"got {epsilon!r}"):
+            SolverConfig(epsilon=epsilon)
+
     def test_stage_priority_value_converted(self):
         cfg = SolverConfig(stage_priority="first")
         assert cfg.stage_priority is StagePriority.FIRST_STAGE

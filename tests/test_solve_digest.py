@@ -21,20 +21,20 @@ SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "solve_digest.py"
 
 PINNED = {
     "bundled": "solves 78, pivots 328, "
-               "1060ddeb478c65d8b08996b24a4c50d8a23d7f9d981b35e01841a3fdb036594c",
+               "7582484435e6432b783560b6d980c6d92780fe3097f93f9307eb13e48336421b",
     "sparse-n100": "solves 600, pivots 6454, "
-                   "76032884e0114d83fda8bc2441934b020cb956b350afc1ceeee3a77b1a14652b",
+                   "d6b2210fd4a05b2853e18f99b10fe9248d25b8e7075edf8ca33fea3f0371c0f4",
     "dense-n100": "solves 600, pivots 3505, "
-                  "88e07cc41bcde428bfdb2f377f1ec5b26238156860b2886c562e1bdea4973f96",
+                  "2b4ed9000ba78043b3d9c99b2e816539eb1a180af66a0f68bbc05fd4100e62a0",
     "wide-n100": "solves 601, pivots 27364, "
-                 "1ca7c1bfd05f6c7cbe8e0e39a782b0929fb45906d414a9f76afc7658f1e17262",
+                 "ea12a880ba3c446bae4eab267e76e20926059ee712672c55fdb347b1b0badda8",
 }
 
 
 def test_pinned_groups_keep_their_digests(monkeypatch):
-    """Every solve's status, pivots and bits and every report byte of the
-    bundled set, sparse-n100 and dense-n100 seed 1 and wide-n100 under
-    both priorities. A change that moves the pivot path updates these values
+    """Every solve's status, pivots and bits and every byte of the CLI's
+    reports of the bundled set, sparse-n100 and dense-n100 seed 1 and
+    wide-n100 under both priorities. A change that moves the pivot path updates these values
     under the ROADMAP golden policy and says so in CHANGES.md."""
     spec = importlib.util.spec_from_file_location("solve_digest", SCRIPT)
     digest = importlib.util.module_from_spec(spec)

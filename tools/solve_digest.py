@@ -23,7 +23,8 @@ lives in). The inputs always come from this script's own checkout, and
 
 * seeded random LPs of all three senses, solved with ``solve_lp``;
 * ``run_full_analysis`` under both stage priorities, every LP it solves,
-  and its report in table, csv and json, on the bundled set,
+  and each report the CLI prints from it (``compare``, and ``solve`` and
+  ``rank`` for each ``--model``) in table, csv and json, on the bundled set,
   ``sparse-n100`` and ``dense-n100`` seed 1, ``wide-n100`` (the 5/3/3 set
   ``generate.dispersed(np.random.default_rng(0), 100, 5, 3, 3)``), and all
   100 ``batch-small`` seed-1 sets. A run that raises contributes the
@@ -48,6 +49,12 @@ import generate  # noqa: E402
 RANDOM_LPS = 1500
 RANDOM_SEED = 20261020
 LIBRARY_SEED = 1
+
+#: render_report's (sections, include_rho, ranks_only) for each report the
+#: CLI prints: compare, then solve and rank for --model both, relational, ccr.
+CLI_REPORTS = [(("relational", "ccr"), True, False)] + [
+    (sections, False, ranks_only) for ranks_only in (False, True)
+    for sections in (("relational", "ccr"), ("relational",), ("ccr",))]
 
 
 def random_lp(nd, rng):
@@ -123,7 +130,8 @@ def library_inputs(nd):
 
 def digest_library(nd, out: Digest, inputs):
     """Digest, for each (group, name, csv text) of inputs, run_full_analysis
-    under both priorities, every LP it solves and its rendered reports."""
+    under both priorities, every LP it solves and its CLI_REPORTS in each
+    format."""
     solve_lp = nd.models.solve_lp
 
     def recording_solve(problem):
@@ -148,8 +156,11 @@ def digest_library(nd, out: Digest, inputs):
                           file=sys.stderr)
                     continue
                 report = nd.build_report(relational, ccr, cfg)
-                for fmt in ("table", "csv", "json"):
-                    out.text(nd.render_report(report, fmt))
+                for sections, include_rho, ranks_only in CLI_REPORTS:
+                    for fmt in ("table", "csv", "json"):
+                        out.text(nd.render_report(report, fmt, sections=sections,
+                                                  include_rho=include_rho,
+                                                  ranks_only=ranks_only))
     finally:
         nd.models.solve_lp = solve_lp
 

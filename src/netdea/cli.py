@@ -17,19 +17,17 @@ validate
 Exit codes: 0 success, 2 usage errors (including an ``--out`` file that
 cannot be written), 3 dataset errors (parse, validation, schema,
 unreadable file), 4 solver failures. Diagnostics go to stderr, reports to
-stdout or the ``--out`` file. ``NETDEA_EPSILON`` in the environment
-overrides the default of ``--epsilon``; the flag wins.
+stdout or the ``--out`` file. Epsilon and stage priority default to SolverConfig's.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .analysis import SECTIONS, build_report
-from .dataset_io import REPORT_FORMATS, load_dataset, render_report
-from .errors import DatasetFormatError, NetdeaError
+from .dataset_io import REPORT_FORMATS, load_dataset, parse_number, render_report
+from .errors import ConfigurationError, DatasetFormatError, NetdeaError
 from .models import SolverConfig, StagePriority, run_full_analysis
 
 EXIT_OK = 0
@@ -40,14 +38,9 @@ EXIT_SOLVER = 4
 
 def _epsilon_value(text: str) -> float:
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid epsilon {text!r}") from None
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(
-            f"epsilon must be in the open interval (0, 1), got {text}"
-        )
-    return value
+        return SolverConfig(epsilon=parse_number(text)).epsilon
+    except (ValueError, ConfigurationError) as exc:
+        raise argparse.ArgumentTypeError(f"invalid epsilon {text!r}: {exc}") from None
 
 
 def _add_common_flags(parser: argparse.ArgumentParser, with_model: bool):
@@ -57,13 +50,11 @@ def _add_common_flags(parser: argparse.ArgumentParser, with_model: bool):
         parser.add_argument("--model", choices=sorted(["both", *SECTIONS]),
                             default="both", help="model family to report")
     parser.add_argument("--stage-priority", choices=[p.value for p in StagePriority],
-                        default="second", dest="stage_priority",
+                        default=SolverConfig.stage_priority.value, dest="stage_priority",
                         help="stage whose efficiency is maximized when "
-                             "splitting the relational score (default second)")
-    parser.add_argument("--epsilon", type=_epsilon_value,
-                        default=os.environ.get("NETDEA_EPSILON", "1e-6"),
-                        help="lower bound on every multiplier weight "
-                             "(default 1e-6, or NETDEA_EPSILON)")
+                             "splitting the relational score (default %(default)s)")
+    parser.add_argument("--epsilon", type=_epsilon_value, default=SolverConfig.epsilon,
+                        help="lower bound on every multiplier weight (default %(default)g)")
     parser.add_argument("--format", choices=REPORT_FORMATS,
                         default="table", dest="output_format",
                         help="report format (default table)")
@@ -154,12 +145,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except DatasetFormatError as exc:
-        print(f"netdea: {_describe(exc)}", file=sys.stderr)
-        return EXIT_DATA
     except NetdeaError as exc:
         print(f"netdea: {_describe(exc)}", file=sys.stderr)
-        return EXIT_SOLVER
+        return EXIT_DATA if isinstance(exc, DatasetFormatError) else EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -71,15 +71,19 @@ def _header_roles(labels, line: int) -> list:
     return roles
 
 
+def parse_number(text: str) -> float:
+    """float(text), but "1_5", which float() reads as 15.0, raises ValueError."""
+    if "_" in text:
+        raise ValueError(f"digit separator in {text!r}")
+    return float(text)
+
+
 def _parse_cell(raw: str, line: int, index: int, label: str, role: str) -> float:
     where = {"row": line, "column": index + 1, "role": role}
-    text = raw.strip()
     try:
-        value = float(text)
+        value = parse_number(raw)
     except ValueError:
-        value = None
-    if value is None or "_" in text:  # float() reads PEP 515 separators: "1_5" as 15.0
-        raise ParseError(f"non-numeric value {raw!r} in column {label!r}", **where)
+        raise ParseError(f"non-numeric value {raw!r} in column {label!r}", **where) from None
     if not math.isfinite(value):
         raise ParseError(f"non-finite value {raw!r} in column {label!r}", **where)
     if value <= 0:
@@ -92,14 +96,14 @@ def _parse_cell(raw: str, line: int, index: int, label: str, role: str) -> float
 def parse_dataset(text: str) -> Dataset:
     """Parse comma-separated text (header first) into a Dataset.
 
-    Roles come from the header; empty and whitespace-only lines are
-    skipped, and errors keep the text's line numbers. Raises ParseError for
-    malformed cells, ValidationError for values <= 0 (both with 1-based
-    row/column coordinates), and SchemaError for structural problems such
-    as an unknown or repeated header, a missing role class or duplicate DMU
-    ids.
+    Roles come from the header; one leading byte-order mark is dropped,
+    empty and whitespace-only lines are skipped, and errors keep the text's
+    line numbers. Raises ParseError for malformed cells, ValidationError
+    for values <= 0 (both with 1-based row/column coordinates), and
+    SchemaError for structural problems such as an unknown or repeated
+    header, a missing role class or duplicate DMU ids.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     rows, lines_read = [], 0
     for row in reader:  # a quoted newline spans lines: keep the first
         if len(row) > 1 or row and row[0].strip():
@@ -145,9 +149,9 @@ def parse_dataset(text: str) -> Dataset:
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset file (UTF-8, with or without a byte-order mark) and
-    parse it. A file that is not UTF-8 text raises ParseError."""
-    with open(path, encoding="utf-8-sig") as handle:
+    """Read a UTF-8 dataset file and parse it. A file that is not UTF-8
+    text raises ParseError."""
+    with open(path, encoding="utf-8") as handle:
         try:
             text = handle.read()
         except UnicodeDecodeError as exc:

@@ -109,9 +109,9 @@ class Dataset:
     def __post_init__(self):
         ids = tuple(str(i) for i in self.dmu_ids)
         names = tuple(str(v) for v in self.dmu_names)
-        X = np.atleast_2d(np.array(self.X, dtype=float))
-        Z = np.atleast_2d(np.array(self.Z, dtype=float))
-        Y = np.atleast_2d(np.array(self.Y, dtype=float))
+        X = np.array(self.X, dtype=float)
+        Z = np.array(self.Z, dtype=float)
+        Y = np.array(self.Y, dtype=float)
         n = len(ids)
         if n < 2:
             raise ValidationError(f"need at least 2 DMUs, got {n}")
@@ -425,6 +425,8 @@ def _solve(data: Dataset, k: int, cfg: SolverConfig, model: str, chain: str,
     pinned: that LP holds an optimum just reached at the same epsilon, so
     it can only fail numerically, like any other non-optimal status.
     """
+    if isinstance(k, bool):  # operator.index reads True as 1
+        raise TypeError("'bool' object cannot be interpreted as an integer")
     k = operator.index(k)
     if not 0 <= k < data.n:
         raise IndexError(f"DMU index {k} out of range for {data.n} DMUs")

@@ -139,6 +139,10 @@ class TestSpearman:
         with pytest.raises(ValueError, match="at least 2"):
             spearman_rank_correlation([1], [1])
 
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(ValueError, match=r"must be 1-d, got shape \(2, 2\)"):
+            spearman_rank_correlation([[1, 2], [2, 1]], [1, 2, 3, 4])
+
 
 class TestRankTable:
     @pytest.mark.parametrize("scores", [[0.5, 0.4, 0.9], [1.0, 0.7, 1.0, 0.7],

@@ -1,4 +1,4 @@
-"""End-to-end CLI behavior: subcommands, formats, exit codes, env override."""
+"""End-to-end CLI behavior: subcommands, formats, exit codes."""
 
 import csv
 import io
@@ -14,7 +14,6 @@ from netdea.cli import (
     EXIT_OK,
     EXIT_SOLVER,
     EXIT_USAGE,
-    build_parser,
     main,
 )
 
@@ -109,6 +108,14 @@ class TestCompare:
         payload = json.loads(out)
         assert sorted(payload) == ["ccr", "config", "relational", "spearman_rho"]
         assert payload["spearman_rho"] == pytest.approx(0.91758, abs=1e-5)
+
+    def test_epsilon_environment_variable_is_ignored(self, monkeypatch, capsys):
+        # --epsilon is the one way to choose epsilon for a run.
+        monkeypatch.setenv("NETDEA_EPSILON", "1e-4")
+        code, out, _ = run_cli(
+            ["compare", "--data", BUNDLED, "--format", "json"], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["config"]["epsilon"] == 1e-6
 
     def test_determinism(self, capsys):
         _, first, _ = run_cli(["compare", "--data", BUNDLED], capsys)
@@ -213,7 +220,14 @@ class TestErrorPaths:
         code, _, err = run_cli(
             ["solve", "--data", BUNDLED, "--epsilon", "2"], capsys)
         assert code == 2
-        assert "epsilon" in err
+        assert "epsilon must be in (0, 1), got 2.0" in err
+
+    def test_epsilon_digit_separator_is_usage_error(self, capsys):
+        # float() reads "1_0e-7" as 1e-6; a dataset cell rejects it too.
+        code, out, err = run_cli(
+            ["solve", "--data", BUNDLED, "--epsilon", "1_0e-7"], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "invalid epsilon '1_0e-7'" in err
 
     def test_missing_data_flag_is_usage_error(self, capsys):
         code, _, err = run_cli(["solve"], capsys)
@@ -223,29 +237,3 @@ class TestErrorPaths:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         code, *_ = run_cli(["frobnicate"], capsys)
         assert code == 2
-
-
-class TestEpsilonEnvironment:
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("NETDEA_EPSILON", "1e-4")
-        args = build_parser().parse_args(["solve", "--data", BUNDLED])
-        assert args.epsilon == 1e-4
-
-    def test_flag_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("NETDEA_EPSILON", "1e-4")
-        args = build_parser().parse_args(
-            ["solve", "--data", BUNDLED, "--epsilon", "1e-7"])
-        assert args.epsilon == 1e-7
-
-    def test_malformed_env_is_usage_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("NETDEA_EPSILON", "not-a-number")
-        code, _, err = run_cli(["solve", "--data", BUNDLED], capsys)
-        assert code == 2
-        assert "epsilon" in err
-
-    def test_env_epsilon_reaches_config(self, monkeypatch, capsys):
-        monkeypatch.setenv("NETDEA_EPSILON", "1e-5")
-        code, out, _ = run_cli(
-            ["compare", "--data", BUNDLED, "--format", "json"], capsys)
-        assert code == EXIT_OK
-        assert json.loads(out)["config"]["epsilon"] == 1e-5

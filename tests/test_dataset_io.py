@@ -78,6 +78,21 @@ class TestParse:
         err = excinfo.value
         assert (err.row, err.column, err.role) == (3, 4, "intermediate")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_coordinates(self, cell):
+        text = f"id,name,x1,z1,y1\nA,Alpha,3,2,6\nB,Beta,4,{cell},1\n"
+        with pytest.raises(ParseError, match="non-finite value") as excinfo:
+            parse_dataset(text)
+        err = excinfo.value
+        assert (err.row, err.column, err.role) == (3, 4, "intermediate")
+
+    def test_one_byte_order_mark_dropped(self):
+        # load_dataset reads files as plain UTF-8, so the mark reaches here.
+        data = parse_dataset("\ufeff" + MINIMAL)
+        assert data.dmu_ids == ("A", "B")
+        with pytest.raises(SchemaError, match=r"'\\ufeffid'"):
+            parse_dataset("\ufeff\ufeff" + MINIMAL)
+
     @pytest.mark.parametrize("text,row", [
         ('id,name,x1,z1,y1\nA,"Alpha\nInstitute",3,2,6\nB,Beta,4,x,1\n', 4),
         ('id,name,x1,z1,y1\nA,"Alpha\nInstitute",3,x,6\nB,Beta,4,5,1\n', 2),

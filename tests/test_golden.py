@@ -10,7 +10,6 @@ undefined). Regenerate them only for an intended output change:
 
 import contextlib
 import io
-import os
 from pathlib import Path
 
 import pytest
@@ -68,8 +67,7 @@ def _expected(name: str) -> str:
 
 @pytest.mark.parametrize("command,model,fmt", CASES,
                          ids=[_name(*case) for case in CASES])
-def test_cli_output_matches_golden(command, model, fmt, monkeypatch):
-    monkeypatch.delenv("NETDEA_EPSILON", raising=False)
+def test_cli_output_matches_golden(command, model, fmt):
     assert _cli_output(command, model, fmt) == _expected(_name(command, model, fmt))
 
 
@@ -88,7 +86,6 @@ def test_tied_golden_files_show_undefined_rho():
 
 
 if __name__ == "__main__":
-    os.environ.pop("NETDEA_EPSILON", None)
     GOLDEN.mkdir(exist_ok=True)
     for case in CASES:
         (GOLDEN / _name(*case)).write_text(_cli_output(*case), encoding="utf-8")

@@ -55,6 +55,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="lower_bounds"):
             lp([1, 1], [[1, 1]], [LESS_EQUAL], [1], lb=[0, 0, 0])
 
+    def test_one_dimensional_matrix_rejected(self):
+        with pytest.raises(ValueError, match="constraint_matrix must be two-dimensional"):
+            LinearProgram(np.ones(2), np.ones(2), (LESS_EQUAL,), np.ones(1), np.zeros(2))
+
     def test_bad_sense_rejected(self):
         with pytest.raises(ValueError, match="sense"):
             lp([1], [[1]], ["<"], [1])

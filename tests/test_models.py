@@ -60,23 +60,6 @@ def single_column_dataset(rng, n):
     return data, x, z, y
 
 
-def half_on_frontier_dataset(rng, n):
-    """3/1/1 data with every second DMU exactly on both stage frontiers,
-    built as perfbench's generate.half_on_frontier builds it: with weights
-    u, w, v fixed, z = x.u / w and y = z.w / v put a DMU at ratio 1 in both
-    stages, and the other DMUs are shrunk below the frontier."""
-    X = rng.lognormal(0.0, 0.5, (n, 3))
-    u = rng.uniform(0.5, 1.5, 3)
-    w, v = rng.uniform(0.5, 1.5, 2)
-    on = np.arange(n) % 2 == 0
-    shrink1 = np.where(on, 1.0, rng.uniform(0.3, 0.95, n))
-    shrink2 = np.where(on, 1.0, rng.uniform(0.3, 0.95, n))
-    Z = (X @ u / w * shrink1)[:, None]
-    Y = (Z[:, 0] * w / v * shrink2)[:, None]
-    ids = tuple(f"U{i + 1}" for i in range(n))
-    return Dataset(dmu_ids=ids, dmu_names=ids, X=X, Z=Z, Y=Y)
-
-
 class TestDatasetValidation:
     def test_duplicate_ids(self):
         with pytest.raises(ValidationError, match="unique"):
@@ -97,6 +80,21 @@ class TestDatasetValidation:
     def test_matrix_must_be_two_dimensional(self):
         with pytest.raises(ValidationError, match=r"X must be a 2-D matrix, got shape \(2, 1, 1\)"):
             Dataset(("A", "B"), ("a", "b"), np.ones((2, 1, 1)), [[1], [2]], [[1], [2]])
+        with pytest.raises(ValidationError, match=r"X must be a 2-D matrix, got shape \(3,\)"):
+            Dataset(("A", "B", "C"), ("a", "b", "c"), np.ones(3), np.ones((3, 1)), np.ones((3, 1)))
+
+    def test_name_count_mismatch(self):
+        with pytest.raises(ValidationError, match="got 1 names for 2 DMUs"):
+            Dataset(("A", "B"), ("a",), [[1], [2]], [[1], [2]], [[1], [2]])
+
+    def test_matrix_needs_a_column(self):
+        with pytest.raises(ValidationError, match="Z needs at least one column"):
+            Dataset(("A", "B"), ("a", "b"), [[1], [2]], np.ones((2, 0)), [[1], [2]])
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry(self, entry):
+        with pytest.raises(ValidationError, match="Y contains non-finite entries"):
+            Dataset(("A", "B"), ("a", "b"), [[1], [2]], [[1], [2]], [[1], [entry]])
 
     def test_matrices_read_only(self):
         data, *_ = single_column_dataset(np.random.default_rng(0), 3)
@@ -297,6 +295,10 @@ class TestErrorPaths:
                 solve(table1, 1.7)
         with pytest.raises(TypeError):
             solve_stage_independent(table1, 1.7, StagePriority.FIRST_STAGE)
+        # A bool is no DMU index, though Python's True == 1.
+        for k in (True, False, np.True_):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                solve_ccr(table1, k)
         assert solve_ccr(table1, np.int64(1)).dmu_id == table1.dmu_ids[1]
         assert solve_stage_priority(table1, np.int64(1)).dmu_id == table1.dmu_ids[1]
 
@@ -370,7 +372,7 @@ class TestRunFullAnalysis:
         # whole-process rows they imply, which the relational LPs omit.
         if shape == "half-on-frontier":
             rng = np.random.default_rng(100)
-            data = half_on_frontier_dataset(rng, n)
+            data = perfbench_dataset("half_on_frontier", rng, n)
         else:
             rng = np.random.default_rng(100 + shape[1])
             data = make_random_dataset(rng, n, *shape)
@@ -749,12 +751,17 @@ def _perfbench_generate():
     return module
 
 
+def perfbench_dataset(generator, rng, *shape):
+    """Dataset of perfbench's generate.<generator>(rng, *shape), DMUs D1..Dn."""
+    X, Z, Y = getattr(_perfbench_generate(), generator)(rng, *shape)
+    ids = tuple(f"D{j + 1}" for j in range(len(X)))
+    return Dataset(ids, ids, X, Z, Y)
+
+
 @pytest.fixture(scope="module")
 def dispersed_10000():
     """perfbench's dispersed 3/1/1 set of 10,000 DMUs at default_rng(0)."""
-    X, Z, Y = _perfbench_generate().dispersed(np.random.default_rng(0), 10_000, 3, 1, 1)
-    ids = tuple(f"D{j + 1}" for j in range(len(X)))
-    return Dataset(ids, ids, X, Z, Y)
+    return perfbench_dataset("dispersed", np.random.default_rng(0), 10_000, 3, 1, 1)
 
 
 def assert_split_matches_highs(data, k, priority):
@@ -860,9 +867,8 @@ class TestEnvelopmentForm:
         # attained by a point of the multiplier LP, c't. On this set the
         # dual's bound sits a rounding error above DMU 41's optimum, and the
         # LP pinned there ends in numerical_failure.
-        X, Z, Y = _perfbench_generate().dispersed(np.random.default_rng(0), 100, 3, 1, 1)
-        ids = tuple(f"D{j + 1}" for j in range(len(X)))
-        record = solve_stage_priority(Dataset(ids, ids, X, Z, Y), 40)
+        data = perfbench_dataset("dispersed", np.random.default_rng(0), 100, 3, 1, 1)
+        record = solve_stage_priority(data, 40)
         assert record.overall == pytest.approx(0.000255006483234, rel=1e-9)
 
     def test_scores_match_highs(self):
@@ -1096,7 +1102,7 @@ class TestImpliedRows:
         assert list(models._undominated(inputs, outputs)) in ([5], [17], [29])
         # Half the DMUs of this set share the stage-2 frontier, equal up to
         # rounding: one stage-2 row is kept.
-        data = half_on_frontier_dataset(np.random.default_rng(16), 40)
+        data = perfbench_dataset("half_on_frontier", np.random.default_rng(16), 40)
         assert len(data._lp_system.kept["wv"]) == 1
 
     @pytest.mark.parametrize("case", ["bundled", (3, 2, 2), (5, 3, 3), "half-on-frontier"],
@@ -1107,12 +1113,10 @@ class TestImpliedRows:
         # dual's lambda is that DMU. The n = 100 sets are perfbench's.
         if case == "bundled":
             data = table1
+        elif case == "half-on-frontier":
+            data = perfbench_dataset("half_on_frontier", np.random.default_rng(0), 100)
         else:
-            generate, rng = _perfbench_generate(), np.random.default_rng(0)
-            X, Z, Y = (generate.half_on_frontier(rng, 100) if case == "half-on-frontier"
-                       else generate.dispersed(rng, 100, *case))
-            ids = tuple(f"D{j + 1}" for j in range(len(X)))
-            data = Dataset(ids, ids, X, Z, Y)
+            data = perfbench_dataset("dispersed", np.random.default_rng(0), 100, *case)
         system, norm = data._lp_system, dict(zip("uwv", reference_normalized_matrices(data)))
         for a, b in ("uv", "uw", "wv"):
             want = (models._undominated(norm[a], norm[b]) if data.n >= 40
@@ -1165,9 +1169,8 @@ class TestImpliedRows:
         # multiplier form; D111 is of the largest wide set. Both scores
         # against HiGHS on the LPs with all 2n stage rows.
         generator, seed, shape, priority, k = case
-        X, Z, Y = getattr(_perfbench_generate(), generator)(np.random.default_rng(seed), *shape)
-        ids = tuple(f"D{j + 1}" for j in range(len(X)))
-        assert_split_matches_highs(Dataset(ids, ids, X, Z, Y), k, priority)
+        data = perfbench_dataset(generator, np.random.default_rng(seed), *shape)
+        assert_split_matches_highs(data, k, priority)
 
 
 def test_lp_system_built_once_and_read_only():

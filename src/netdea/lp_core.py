@@ -60,6 +60,13 @@ class SolveStatus(enum.Enum):
     NUMERICAL_FAILURE = "numerical_failure"
 
 
+def strict_index(value) -> int:
+    """operator.index, except that a bool (which it reads as 0 or 1) raises TypeError."""
+    if isinstance(value, bool):
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return operator.index(value)
+
+
 def _as_readonly(values) -> np.ndarray:
     arr = np.array(values, dtype=float, order="C")  # layout changes how A @ x rounds
     arr.setflags(write=False)
@@ -111,7 +118,7 @@ class LinearProgram:
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite entries")
         try:
-            start = tuple((operator.index(row), operator.index(col)) for row, col in self.start)
+            start = tuple((strict_index(row), strict_index(col)) for row, col in self.start)
         except TypeError:
             raise ValueError("start must hold (row, column) pairs of integers") from None
         if (any(not (0 <= row < m and 0 <= col < n) for row, col in start)

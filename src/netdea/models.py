@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import enum
 import functools
-import operator
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +60,7 @@ from .lp_core import (
     LinearProgram,
     SolveStatus,
     solve_lp,
+    strict_index,
 )
 
 #: |overall - stage1 * stage2| must stay below this on every relational record.
@@ -165,23 +166,22 @@ class Dataset:
 class SolverConfig:
     """Settings shared by every model solve.
 
-    epsilon is the strictly positive lower bound applied to every multiplier
-    in the normalized LPs. stage_priority picks which stage efficiency is
-    maximized when decomposing the relational optimum; the default maximizes
-    stage 2 first. A StagePriority value ("first" or "second") is converted
-    to the member.
+    epsilon, a real number kept as a float, is the strictly positive lower
+    bound on every multiplier in the normalized LPs. stage_priority picks
+    which stage efficiency is maximized when decomposing the relational
+    optimum; the default maximizes stage 2 first. A StagePriority value
+    ("first" or "second") is converted to the member.
     """
 
     epsilon: float = 1e-6
     stage_priority: StagePriority = StagePriority.SECOND_STAGE
 
     def __post_init__(self):
-        try:
-            in_range = 0.0 < self.epsilon < 1.0
-        except TypeError:
-            in_range = False
-        if not in_range:
+        if not isinstance(self.epsilon, numbers.Real):
+            raise ConfigurationError(f"epsilon must be a real number, got {self.epsilon!r}")
+        if not 0.0 < self.epsilon < 1.0:
             raise ConfigurationError(f"epsilon must be in (0, 1), got {self.epsilon!r}")
+        object.__setattr__(self, "epsilon", float(self.epsilon))
         try:
             priority = StagePriority(self.stage_priority)
         except ValueError:
@@ -237,8 +237,10 @@ class EfficiencyRecord:
                 )
 
 
-#: Each stage's chain of weight slots: u on X, w on Z and v on Y.
-_STAGE_SLOTS = {StagePriority.FIRST_STAGE: "uw", StagePriority.SECOND_STAGE: "wv"}
+#: Each stage's chain of weight slots, which is also its scored pair in "uwv",
+#: and the EfficiencyRecord field of its score.
+_STAGES = {StagePriority.FIRST_STAGE: ("uw", "stage1"),
+           StagePriority.SECOND_STAGE: ("wv", "stage2")}
 
 
 def _undominated(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -312,19 +314,17 @@ class _LpSystem:
 
     def _start_pivots(self, chain: str, normalization: str, objective: str) -> tuple:
         """Each DMU k's best single-peer vertex of the duals envelopment_lp
-        builds, as (rows, peers), empty unless the objective slot follows the
-        normalization slot in the chain. Demand d starts as DMU k's data in
-        the objective slot. Each link back to the normalization slot takes
-        one kept ratio row j, lambda_j = max(d / b_j), and sets d = lambda_j
-        a_j; there y = max(d / x_k) closes the walk. The peers minimize y,
-        the dual's objective up to epsilon terms. Each lambda_j and y enters
-        on the weight row where its max is attained (rows[k]; peers[k] holds
-        the lambdas' rows in the chain's block), so every dual row holds.
-        DMUs go in blocks: no temporary holds much more than 2**19 floats."""
+        builds, as (rows, peers). Demand d starts as DMU k's data in the
+        objective slot, which in every LP a model builds follows the
+        normalization slot in the chain. Each link back to the normalization
+        slot takes one kept ratio row j, lambda_j = max(d / b_j), and sets
+        d = lambda_j a_j; there y = max(d / x_k) closes the walk. The peers
+        minimize y, the dual's objective up to epsilon terms. Each lambda_j
+        and y enters on the weight row where its max is attained (rows[k];
+        peers[k] holds the lambdas' rows in the chain's block), so every
+        dual row holds. Blocks of DMUs keep each temporary near 2**19 floats."""
         walk = [chain[i - 1:i + 1]  # objective side first
                 for i in range(chain.index(objective), chain.index(normalization), -1)]
-        if not walk:
-            return (np.zeros((len(self.normalized[objective]), 0), dtype=int),) * 2
         outputs = [self.normalized[ab[1]][self.kept[ab]] for ab in walk]
         inputs = [self.normalized[ab[0]][self.kept[ab]] for ab in walk]
         # lambda_i / lambda_j of row i of a link and row j of the one before
@@ -425,9 +425,7 @@ def _solve(data: Dataset, k: int, cfg: SolverConfig, model: str, chain: str,
     pinned: that LP holds an optimum just reached at the same epsilon, so
     it can only fail numerically, like any other non-optimal status.
     """
-    if isinstance(k, bool):  # operator.index reads True as 1
-        raise TypeError("'bool' object cannot be interpreted as an integer")
-    k = operator.index(k)
+    k = strict_index(k)
     if not 0 <= k < data.n:
         raise IndexError(f"DMU index {k} out of range for {data.n} DMUs")
     dmu = data.dmu_ids[k]
@@ -492,15 +490,9 @@ def solve_stage_independent(data: Dataset, k: int, stage: StagePriority,
     SECOND_STAGE treats them as the inputs (Z -> Y). The score lands in the
     matching stage slot of the record; overall stays unset.
     """
-    stage = StagePriority(stage)
-    dmu, score, weights = _solve(data, k, cfg or SolverConfig(), "CCR", _STAGE_SLOTS[stage])
-    first = stage is StagePriority.FIRST_STAGE
-    return EfficiencyRecord(
-        dmu_id=dmu,
-        stage1=score if first else None,
-        stage2=None if first else score,
-        multipliers=weights,
-    )
+    chain, field = _STAGES[StagePriority(stage)]
+    dmu, score, weights = _solve(data, k, cfg or SolverConfig(), "CCR", chain)
+    return EfficiencyRecord(dmu_id=dmu, multipliers=weights, **{field: score})
 
 
 def solve_relational_overall(data: Dataset, k: int,
@@ -554,21 +546,15 @@ def solve_stage_priority(data: Dataset, k: int,
     """
     cfg = cfg or SolverConfig()
     overall = solve_relational_overall(data, k, cfg)
-    dmu, fixed, weights = _solve(data, k, cfg, "stage-priority", "uwv",
-                                 _STAGE_SLOTS[cfg.stage_priority], pinned_overall=overall)
+    scored, field = _STAGES[cfg.stage_priority]
+    dmu, fixed, weights = _solve(data, k, cfg, "stage-priority", "uwv", scored,
+                                 pinned_overall=overall)
     try:
         free = decompose_efficiency(overall, fixed)
     except DecompositionError as exc:
         raise DecompositionError(f"stage-priority model for DMU {dmu}: {exc}") from exc
-    first = cfg.stage_priority is StagePriority.FIRST_STAGE
-    stage1, stage2 = (fixed, free) if first else (free, fixed)
-    return EfficiencyRecord(
-        dmu_id=dmu,
-        overall=overall,
-        stage1=stage1,
-        stage2=stage2,
-        multipliers=weights,
-    )
+    scores = {"stage1": free, "stage2": free, field: fixed}
+    return EfficiencyRecord(dmu_id=dmu, overall=overall, multipliers=weights, **scores)
 
 
 def run_full_analysis(data: Dataset, cfg: SolverConfig | None = None):

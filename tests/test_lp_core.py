@@ -190,6 +190,27 @@ class TestDegeneracy:
         assert sol.status in (SolveStatus.OPTIMAL, SolveStatus.NUMERICAL_FAILURE)
         assert sol.iterations <= 2  # phase bound: budget per phase
 
+    def test_phase_one_cut_short_is_a_numerical_failure(self, monkeypatch):
+        # x = 1 has no slack, so phase 1 must pivot x in for its artificial.
+        # With no pivot allowed it stops at the cap, which proves nothing:
+        # not that the LP is infeasible, though phase 1's objective is not 0.
+        monkeypatch.setattr(lp_core, "MAX_ITERATIONS", 0)
+        sol = solve_lp(lp([1], [[1], [1]], [EQUAL, LESS_EQUAL], [1, 2]))
+        assert sol.status is SolveStatus.NUMERICAL_FAILURE
+        assert sol.iterations == 0
+
+    def test_a_run_of_small_pivots_is_a_numerical_failure(self, monkeypatch):
+        # At PIVOT_TOL = 1e-2 every pivot, here 1.0 in a unit column, sits
+        # below 1e3 times its threshold of 1e-2; the third in a row stops
+        # phase 2 before the optimum it would reach.
+        monkeypatch.setattr(lp_core, "PIVOT_TOL", 1e-2)
+        iterate, outcomes = lp_core._iterate, []
+        monkeypatch.setattr(lp_core, "_iterate",
+                            lambda *args: outcomes.append(iterate(*args)) or outcomes[-1])
+        sol = solve_lp(lp([1, 1, 1], np.eye(3), [LESS_EQUAL] * 3, [1, 1, 1]))
+        assert sol.status is SolveStatus.NUMERICAL_FAILURE
+        assert outcomes == [("optimal", 0), ("small_pivots", 2)]
+
 
 class TestOracleSweep:
     def test_matches_vertex_enumeration(self, lp_oracle, make_random_lp):
@@ -348,6 +369,17 @@ class TestOptimalityCertificate:
             failed = solve_lp(problem)
             assert failed.status is SolveStatus.NUMERICAL_FAILURE
             assert failed.row_prices.size == 0
+
+    def test_final_point_off_a_row_is_a_numerical_failure(self):
+        # x = 2.23e11 / 3.4e9 rounds up, and 3.4e9 x overshoots 2.23e11 by
+        # one unit in the last place, 3.1e-5, far above FEASIBILITY_TOL.
+        # The price 1 / 3.4e9 would certify the basis, so only the check of
+        # the point itself catches it.
+        x = 2.23e11 / 3.4e9
+        assert 3.4e9 * x - 2.23e11 > FEASIBILITY_TOL
+        sol = solve_lp(lp([1], [[3.4e9]], [LESS_EQUAL], [2.23e11]))
+        assert sol.status is SolveStatus.NUMERICAL_FAILURE
+        assert sol.iterations == 1
 
     def test_singular_final_basis_is_a_numerical_failure(self, monkeypatch):
         # On an exactly singular final basis np.linalg.solve raises; the
@@ -771,7 +803,9 @@ class TestStart:
         problem = lp([1, 1], [[1, 2], [3, 1]], [LESS_EQUAL] * 2, [4, 6])
         for start in (((2, 0),), ((0, 2),), ((-1, 0),), ((0, -1),),
                       ((0, 0), (0, 1)), ((0, 0), (1, 0)),
-                      ((0, 1.0),), ((0.5, 1),), (("0", 1),), ((0,),), (0,)):
+                      ((0, 1.0),), ((0.5, 1),), (("0", 1),), ((0,),), (0,),
+                      # operator.index reads True as 1, yet a bool names no row or column
+                      ((True, 0),), ((0, True),), ((False, 1),), ((1, False),)):
             with pytest.raises(ValueError):
                 dataclasses.replace(problem, start=start)
         assert dataclasses.replace(problem, start=[(np.int64(1), 0)]).start == ((1, 0),)

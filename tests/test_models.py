@@ -11,7 +11,9 @@ Solver output is compared against these with a tiny epsilon.
 import dataclasses
 import importlib.util
 import itertools
+import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -104,15 +106,31 @@ class TestDatasetValidation:
 
 class TestConfigValidation:
     def test_epsilon_range(self):
-        with pytest.raises(ConfigurationError):
-            SolverConfig(epsilon=0.0)
-        with pytest.raises(ConfigurationError):
-            SolverConfig(epsilon=1.0)
+        # A bool is a real number, 0 or 1, so it is out of range too.
+        for epsilon in (0.0, 1.0, False, True):
+            with pytest.raises(ConfigurationError, match=r"epsilon must be in \(0, 1\)"):
+                SolverConfig(epsilon=epsilon)
 
-    @pytest.mark.parametrize("epsilon", ["1e-6", None])
+    @pytest.mark.parametrize("epsilon", ["1e-6", None, Decimal("1e-6"), np.array(1e-6),
+                                         1e-6 + 0j])
     def test_non_numeric_epsilon(self, epsilon):
-        with pytest.raises(ConfigurationError, match=f"got {epsilon!r}"):
+        with pytest.raises(ConfigurationError,
+                           match=f"must be a real number, got {re.escape(repr(epsilon))}"):
             SolverConfig(epsilon=epsilon)
+
+    @pytest.mark.parametrize("epsilon", [np.float32(1e-6), np.float64(1e-6),
+                                         Fraction(1, 10**6), 1e-6])
+    def test_real_epsilon_is_kept_as_a_float(self, epsilon):
+        cfg = SolverConfig(epsilon=epsilon)
+        assert type(cfg.epsilon) is float and cfg.epsilon == float(epsilon)
+
+    def test_fraction_epsilon_solves_and_renders(self, table1):
+        # A Fraction once reached the LPs as is: weights came back as object
+        # arrays, and json could not serialize the config echo.
+        cfg = SolverConfig(epsilon=Fraction(1, 10**6))
+        relational, ccr = run_full_analysis(table1, cfg)
+        assert relational[0].multipliers.u.dtype == float
+        assert '"epsilon": 1e-06' in render_report(build_report(relational, ccr, cfg), "json")
 
     def test_stage_priority_value_converted(self):
         cfg = SolverConfig(stage_priority="first")
@@ -301,6 +319,22 @@ class TestErrorPaths:
                 solve_ccr(table1, k)
         assert solve_ccr(table1, np.int64(1)).dmu_id == table1.dmu_ids[1]
         assert solve_stage_priority(table1, np.int64(1)).dmu_id == table1.dmu_ids[1]
+
+    @pytest.mark.parametrize("factor", [1.5, -1.0])
+    def test_score_outside_unit_interval_is_a_solver_failure(self, monkeypatch, table1,
+                                                              factor):
+        # DMU D1's CCR score is 1, so an LP optimum scaled by 1.5 lies past
+        # SCORE_EXCESS_TOL and one scaled by -1 below 0; neither is clamped.
+        def solve(problem):
+            sol = solve_lp(problem)
+            return dataclasses.replace(sol, objective_value=factor * sol.objective_value)
+
+        assert solve_ccr(table1, 0).overall == 1.0
+        monkeypatch.setattr(models, "solve_lp", solve)
+        dmu = table1.dmu_ids[0]
+        with pytest.raises(SolverFailureError,
+                           match=f"CCR model for DMU {dmu}: efficiency {factor} is outside"):
+            solve_ccr(table1, 0)
 
     @staticmethod
     def _fail_pinned_lp(monkeypatch):
@@ -689,15 +723,17 @@ def stacked_envelopment_builder(lp):
 
 
 class TestStackedBuilderReference:
-    """Every chain, every ordered pair of its slots as (normalization,
-    objective), pinned where the chain holds u and v and unpinned, for
-    every DMU and at two epsilons: _LpSystem.lp against the builder that
-    stacked each LP's rows afresh, and for each of these LPs, pinned or
-    not, _LpSystem.envelopment_lp against the dual that
+    """Every chain, every pair of its slots in chain order as
+    (normalization, objective), the order of every LP a model builds,
+    pinned where the chain holds u and v and unpinned, for every DMU and at
+    two epsilons: _LpSystem.lp against the builder that stacked each LP's
+    rows afresh, and for each of these LPs, pinned or not,
+    _LpSystem.envelopment_lp against the dual that
     stacked_envelopment_builder transposes from it. The second epsilon
-    catches a term that a builder keeps per chain but epsilon changes. A
-    dual starts from a vertex (TestStartVertex) unless its objective slot
-    comes before its normalization slot in the chain."""
+    catches a term that a builder keeps per chain but epsilon changes. Each
+    dual starts from a vertex (TestStartVertex) one pivot longer than the
+    links it walks from the objective slot back to the normalization
+    slot."""
 
     @staticmethod
     def _check(data):
@@ -707,7 +743,7 @@ class TestStackedBuilderReference:
         for epsilon in (1e-6, 1e-4):
             for chain in ("uv", "uw", "wv", "uwv"):
                 pinned = (None, "pinned") if {"u", "v"} <= set(chain) else (None,)
-                for scored in itertools.permutations(chain, 2):
+                for scored in itertools.combinations(chain, 2):
                     for pin in pinned:
                         for k in range(data.n):
                             overall = None if pin is None else float(pins[k])
@@ -718,9 +754,9 @@ class TestStackedBuilderReference:
                             dual = system.envelopment_lp(k, chain, scored, epsilon, overall)
                             _assert_same_lp(dual, stacked_envelopment_builder(lp))
                             walked = chain.index(scored[1]) - chain.index(scored[0])
-                            assert len(dual.start) == (walked + 1 if walked > 0 else 0)
+                            assert len(dual.start) == walked + 1
                             built += 1
-        assert built == 2 * data.n * (2 * 2 + 2 + 2 + 6 * 2)
+        assert built == 2 * data.n * 10
 
     def test_bundled_data(self, table1):
         self._check(table1)

@@ -24,7 +24,9 @@ lives in). The inputs always come from this script's own checkout, and
 * seeded random LPs of all three senses, solved with ``solve_lp``;
 * ``run_full_analysis`` under both stage priorities, every LP it solves,
   and each report the CLI prints from it (``compare``, and ``solve`` and
-  ``rank`` for each ``--model``) in table, csv and json, on the bundled set,
+  ``rank`` for each ``--model``) in table, csv and json, then
+  ``solve_stage_independent`` for every DMU under both stages, every LP it
+  solves and each record's three scores, on the bundled set,
   ``sparse-n100`` and ``dense-n100`` seed 1, ``wide-n100`` (the 5/3/3 set
   ``generate.dispersed(np.random.default_rng(0), 100, 5, 3, 3)``), and all
   100 ``batch-small`` seed-1 sets. A run that raises contributes the
@@ -131,7 +133,8 @@ def library_inputs(nd):
 def digest_library(nd, out: Digest, inputs):
     """Digest, for each (group, name, csv text) of inputs, run_full_analysis
     under both priorities, every LP it solves and its CLI_REPORTS in each
-    format."""
+    format; then solve_stage_independent for every DMU under each stage,
+    every LP it solves and each record's three score fields."""
     solve_lp = nd.models.solve_lp
 
     def recording_solve(problem):
@@ -161,6 +164,10 @@ def digest_library(nd, out: Digest, inputs):
                         out.text(nd.render_report(report, fmt, sections=sections,
                                                   include_rho=include_rho,
                                                   ranks_only=ranks_only))
+            for stage in nd.StagePriority:
+                for k in range(data.n):
+                    record = nd.solve_stage_independent(data, k, stage)
+                    out.text(repr((record.overall, record.stage1, record.stage2)))
     finally:
         nd.models.solve_lp = solve_lp
 
